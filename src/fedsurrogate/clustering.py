@@ -3,7 +3,7 @@ single-linkage tree, condensed cluster tree, excess-of-mass extraction.
 
 Conventions (fixed so results are bit-deterministic):
   * core distance = distance to the min_samples-th nearest OTHER point;
-  * merge edges processed in lexicographic (weight, i, j) order;
+  * merge edges processed in lexicographic (weight, i, j) order, i < j;
   * lambda = 1 / max(distance, 1e-12);
   * excess-of-mass selection never lets the root cluster swallow a true
     split: whenever the root has condensed children, selection descends
@@ -60,17 +60,19 @@ def core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
     n = len(D)
     if not 1 <= min_samples < n:
         raise ValueError("need 1 <= min_samples < n")
-    core = np.empty(n)
-    for i in range(n):
-        others = np.delete(D[i], i)
-        core[i] = np.sort(others)[min_samples - 1]
-    return core
+    others = D.copy()
+    np.fill_diagonal(others, np.inf)  # never among the first n - 1
+    others.partition(min_samples - 1, axis=1)
+    return others[:, min_samples - 1].copy()
 
 
 def mutual_reachability(D: np.ndarray, min_samples: int) -> np.ndarray:
     """MR(a, b) = max(core_a, core_b, D(a, b)), zero diagonal."""
     D = _check_matrix(D)
-    core = core_distances(D, min_samples)
+    return _reachability(D, core_distances(D, min_samples))
+
+
+def _reachability(D: np.ndarray, core: np.ndarray) -> np.ndarray:
     MR = np.maximum(D, np.maximum.outer(core, core))
     np.fill_diagonal(MR, 0.0)
     return MR
@@ -81,14 +83,41 @@ def _lam(dist: float) -> float:
 
 
 def _single_linkage(MR: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
-    """Kruskal merge tree. Node ids: 0..n-1 points, n..2n-2 internal.
+    """Single-linkage merge tree. Node ids: 0..n-1 points, n..2n-2 internal.
 
     Returns (children, merge distance) indexed by internal node - n.
+
+    The minimum spanning tree comes from an O(n^2) Prim pass over the
+    upper triangle (McInnes & Healy 2017, "Accelerated Hierarchical
+    Density Clustering"). Edges compare by the key (w, min(u, v),
+    max(u, v)), a strict total order, under which the spanning tree is
+    unique; replaying its edges in key order through union-find gives
+    exactly the merges of Kruskal's algorithm over every edge.
     """
     n = len(MR)
-    edges = sorted(
-        (MR[i, j], i, j) for i in range(n) for j in range(i + 1, n)
-    )
+    upper = np.triu(MR, 1)
+    W = upper + upper.T
+    nodes = np.arange(n)
+    K = np.minimum.outer(nodes, nodes) * n + np.maximum.outer(nodes, nodes)
+    # lightest edge from each node to the tree, as weight and endpoint key
+    best_w, best_key = W[0].copy(), K[0].copy()
+    done = np.zeros(n, dtype=bool)
+    done[0] = True
+    edge_w, edge_lo, edge_hi = [], [], []
+    for _ in range(n - 1):
+        cand = np.where(done, np.inf, best_w)
+        ties = np.flatnonzero(cand == cand.min())
+        v = ties[np.argmin(best_key[ties])]
+        edge_w.append(best_w[v])
+        edge_lo.append(int(best_key[v]) // n)
+        edge_hi.append(int(best_key[v]) % n)
+        done[v] = True
+        # entries of nodes already done go stale; they are never read again
+        better = (W[v] < best_w) | ((W[v] == best_w) & (K[v] < best_key))
+        np.copyto(best_w, W[v], where=better)
+        np.copyto(best_key, K[v], where=better)
+    order = np.lexsort((edge_hi, edge_lo, edge_w))
+
     parent = list(range(2 * n - 1))
 
     def find(x: int) -> int:
@@ -99,17 +128,11 @@ def _single_linkage(MR: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]
 
     children: list[tuple[int, int]] = []
     dists: list[float] = []
-    nxt = n
-    for w, i, j in edges:
-        ra, rb = find(i), find(j)
-        if ra == rb:
-            continue
+    for nxt, k in enumerate(order.tolist(), start=n):
+        ra, rb = find(edge_lo[k]), find(edge_hi[k])
         children.append((ra, rb))
-        dists.append(w)
+        dists.append(edge_w[k])
         parent[ra] = parent[rb] = nxt
-        nxt += 1
-        if nxt == 2 * n - 1:
-            break
     return children, dists
 
 
@@ -277,9 +300,7 @@ def hdbscan(
         return ClusterResult(tuple([-1] * n), {})
 
     core = core_distances(D, min_samples)
-    MR = np.maximum(D, np.maximum.outer(core, core))
-    np.fill_diagonal(MR, 0.0)
-    children, dists = _single_linkage(MR)
+    children, dists = _single_linkage(_reachability(D, core))
     cparent, cbirth, pcluster, plambda, _pexit = _condense(
         n, children, dists, min_cluster_size, selection_epsilon
     )

@@ -201,7 +201,9 @@ def dirichlet_partition(
     that class's samples accordingly.
 
     A draw that leaves any client empty is discarded and the whole
-    partition redrawn with an incremented sub-seed.
+    partition redrawn with an incremented sub-seed. ValueError when
+    ``max_attempts`` draws all leave a client empty: the dataset is too
+    small for the client count at this alpha.
     """
     if n_clients < 2:
         raise ValueError("need at least two clients")
@@ -227,7 +229,10 @@ def dirichlet_partition(
                 start = stop
         if all(buckets):
             return PartitionPlan(tuple(tuple(b) for b in buckets), alpha)
-    raise RuntimeError(f"no non-empty partition after {max_attempts} attempts")
+    raise ValueError(
+        f"no partition gives each of {n_clients} clients a sample after "
+        f"{max_attempts} attempts; use more samples per class or a larger alpha"
+    )
 
 
 def apply_trigger(

@@ -20,7 +20,7 @@ from .params import (
     EPS_ZERO,
     ClientUpdate,
     ParameterVector,
-    cosine_distance,
+    gram_cosine_distances,
     pairwise_distance_matrix,
 )
 
@@ -116,16 +116,12 @@ def layer_divergence(updates: Sequence[ClientUpdate]) -> dict[str, float]:
     """Mean pairwise cosine distance of the clients' deltas, per layer."""
     if len(updates) < 2:
         raise ValueError("need at least two updates")
-    schema = updates[0].delta.schema
-    out: dict[str, float] = {}
     n = len(updates)
-    for name in schema.names:
-        slices = [u.delta.layer(name) for u in updates]
-        total = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += cosine_distance(slices[i], slices[j])
-        out[name] = total * 2.0 / (n * (n - 1))
+    X = np.stack([u.delta.values for u in updates])
+    out: dict[str, float] = {}
+    for name, lo, length in updates[0].delta.schema.layers:
+        cols = X[:, lo:lo + length]  # a strided view: BLAS reads it in place
+        out[name] = float(gram_cosine_distances(cols @ cols.T).sum()) / (n * (n - 1))
     return out
 
 
@@ -178,7 +174,7 @@ def coarse_cluster(
         raise ValueError("empty critical layer set")
     n = len(updates)
     ids = [u.client_id for u in updates]
-    feats = [u.delta.restricted(critical_layers) for u in updates]
+    feats = _critical_features(updates, critical_layers)
     D = pairwise_distance_matrix(feats, metric="euclidean")
     ms = min(min_samples, n - 1)
     result = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
@@ -191,6 +187,19 @@ def coarse_cluster(
         return trusted, suspects, D, False
     # no majority cluster: degrade to Stage-2-only filtering
     return frozenset(ids), frozenset(), D, True
+
+
+def _critical_features(
+    updates: Sequence[ClientUpdate], critical_layers: Sequence[str]
+) -> np.ndarray:
+    """(n, width) array of the clients' critical-layer deltas, in the
+    order given, filled row by row so no list of row copies is held."""
+    schema = updates[0].delta.schema
+    width = sum(hi - lo for lo, hi in map(schema.bounds, critical_layers))
+    F = np.empty((len(updates), width))
+    for row, u in zip(F, updates):
+        row[:] = u.delta.restricted(critical_layers)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +294,21 @@ def select_donor(
     trusted: frozenset[int],
     D: np.ndarray,
     index_of: Mapping[int, int],
-    metric: str = "cosine",
+    metric: str | None = None,
     features: Sequence[np.ndarray] | None = None,
 ) -> int:
-    """Nearest trusted donor for a flagged client; ties by lower id.
+    """Nearest trusted donor for a flagged client by the donor-distance
+    matrix D; ties by lower id.
 
-    ``index_of`` maps client ids to rows of D / features. When features
-    are given, distances are recomputed on the critical-layer features
-    under the requested metric; otherwise D is consulted directly."""
+    ``index_of`` maps client ids to rows of D. ``metric`` and
+    ``features`` are not read: D already holds the distances under the
+    round's donor metric. They remain so that callers and wrappers
+    written for the former per-pair signature keep working."""
     if not trusted:
         raise ValueError("no trusted clients to donate")
-    if metric not in ("cosine", "euclidean"):
-        raise ValueError(f"unknown donor metric {metric!r}")
-    fi = index_of[flagged]
-    best_id, best_d = -1, np.inf
-    for cid in sorted(trusted):
-        if features is None:
-            d = D[fi, index_of[cid]]
-        elif metric == "cosine":
-            d = cosine_distance(features[fi], features[index_of[cid]])
-        else:
-            d = float(np.linalg.norm(features[fi] - features[index_of[cid]]))
-        if d < best_d:
-            best_id, best_d = cid, d
-    return best_id
+    pool = sorted(trusted)
+    row = D[index_of[flagged], [index_of[c] for c in pool]]
+    return pool[int(np.argmin(row))]
 
 
 def build_surrogate(
@@ -389,6 +389,8 @@ def fedsurrogate_round(
     """
     if variant not in ("full", "stage1", "no_rescue", "exclude"):
         raise ValueError(f"unknown variant {variant!r}")
+    if donor_metric not in ("cosine", "euclidean"):
+        raise ValueError(f"unknown donor metric {donor_metric!r}")
     if len(updates) < 2:
         raise ValueError("need at least two clients")
     ids = [u.client_id for u in updates]
@@ -416,8 +418,8 @@ def fedsurrogate_round(
             rescued, flagged = rescue_suspects(mem, suspects, filter_cfg)
     trusted = coarse | rescued
 
-    # Stage 3
-    feats = [by_id[c].delta.restricted(critical) for c in ids]
+    # Stage 3: one donor-distance matrix per round. The coarse D is
+    # already euclidean over the same critical-layer features.
     donors: dict[int, int] = {}
     models: dict[int, ParameterVector] = {}
     roles: dict[int, str] = {}
@@ -426,15 +428,15 @@ def fedsurrogate_round(
             models[cid], roles[cid] = by_id[cid].model, "trusted"
         elif cid in rescued:
             models[cid], roles[cid] = by_id[cid].model, "rescued"
-    for cid in sorted(flagged):
-        if variant in ("stage1", "exclude"):
-            break
-        if trusted:
-            donor = select_donor(cid, trusted, D, index_of, donor_metric, feats)
+    # no trusted clients at all: flagged updates are simply excluded
+    if flagged and trusted and variant not in ("stage1", "exclude"):
+        donor_D = D if donor_metric == "euclidean" else pairwise_distance_matrix(
+            _critical_features(updates, critical), metric="cosine")
+        for cid in sorted(flagged):
+            donor = select_donor(cid, trusted, donor_D, index_of)
             donors[cid] = donor
             models[cid] = build_surrogate(by_id[cid].model, by_id[donor].model, critical)
             roles[cid] = "surrogate"
-        # no trusted clients at all: flagged updates are simply excluded
 
     new_global = aggregate(models, roles, weights) if models else global_model
     outcome = RoundOutcome(

@@ -409,7 +409,6 @@ def report_to_json(report: RunReport) -> str:
         "tpr": report.tpr,
         "fpr": report.fpr,
         "mcc": report.mcc,
-        "wall_clock": report.wall_clock,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

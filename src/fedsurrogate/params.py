@@ -110,9 +110,6 @@ class ParameterVector:
         """Concatenation of the given layers, in the order given."""
         return np.concatenate([self.layer(n) for n in names])
 
-    def replace(self, values: np.ndarray) -> "ParameterVector":
-        return ParameterVector(values, self.schema)
-
 
 @dataclass(frozen=True)
 class ClientUpdate:
@@ -135,11 +132,6 @@ class ClientUpdate:
             raise ValueError("sample_count must be >= 1")
 
 
-def layer_slice(v: ParameterVector, name: str) -> np.ndarray:
-    """Contiguous sub-array for the named layer."""
-    return v.layer(name)
-
-
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b), in [0, 2]. Degenerate norms fall back to 1.0."""
     a = np.asarray(a, dtype=np.float64)
@@ -154,29 +146,88 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - max(-1.0, min(1.0, cos))
 
 
+def gram_cosine_distances(G: np.ndarray) -> np.ndarray:
+    """Pairwise ``cosine_distance`` from a Gram matrix ``G = X @ X.T``:
+    1 - G_ij / (|x_i| |x_j|) with |x_i| = sqrt(G_ii), clipped to [0, 2].
+    Pairs with a degenerate norm get ZERO_NORM_DISTANCE; the diagonal
+    is 0.
+
+    A BLAS product ``X @ X.T`` may round the entries of identical rows
+    of X differently, so it suits sums of distances; where ties between
+    identical rows must stay exact, form G entry by entry, as
+    ``pairwise_distance_matrix`` does."""
+    norms = np.sqrt(np.diag(G))
+    ok = norms >= EPS_ZERO
+    scale = np.where(ok, norms, 1.0)
+    D = 1.0 - np.clip(G / np.outer(scale, scale), -1.0, 1.0)
+    D[~ok, :] = ZERO_NORM_DISTANCE
+    D[:, ~ok] = ZERO_NORM_DISTANCE
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[k] . B[k] for every row k (B may be one row, shared). Each is a
+    BLAS dot of its own, the sum ``np.dot`` and ``np.linalg.norm`` form
+    for one pair, so equal inputs give equal bits wherever they sit."""
+    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+
+
+def _pairwise_gram(X: np.ndarray) -> np.ndarray:
+    """X @ X.T with each entry a dot of its own, one row at a time."""
+    n = len(X)
+    G = np.zeros((n, n))
+    for i in range(n):
+        G[i, i:] = _row_dots(X[i:], X[i])
+    return G + np.triu(G, 1).T
+
+
+# Rows of X[j] - X[i] held at once by the euclidean difference buffer.
+EUCLIDEAN_BLOCK_ROWS = 32
+
+
+def _euclidean_distances(X: np.ndarray) -> np.ndarray:
+    """|x_i - x_j| from explicit differences, at most
+    EUCLIDEAN_BLOCK_ROWS rows at a time. The expansion
+    |a|^2 + |b|^2 - 2 a.b would cancel for close pairs, which are the
+    ones the clustering's selection radius compares."""
+    n, width = X.shape
+    D = np.zeros((n, n))
+    buf = np.empty((min(EUCLIDEAN_BLOCK_ROWS, n - 1), width))
+    for i in range(n - 1):
+        for lo in range(i + 1, n, EUCLIDEAN_BLOCK_ROWS):
+            hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
+            diff = np.subtract(X[lo:hi], X[i], out=buf[: hi - lo])
+            D[i, lo:hi] = np.sqrt(_row_dots(diff, diff))
+    return D + D.T
+
+
 def pairwise_distance_matrix(
-    vectors: Sequence[np.ndarray], metric: str = "cosine"
+    vectors: Sequence[np.ndarray] | np.ndarray, metric: str = "cosine"
 ) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of pairwise distances.
+    """Symmetric zero-diagonal matrix of pairwise distances between the
+    rows of ``vectors`` (a sequence of equal-length vectors or an (n, P)
+    array, which is used without a copy).
 
     ``metric`` is "cosine" (the default) or "euclidean". Euclidean
     distances see update magnitude as well as direction, which matters
     when an attacker scales an otherwise benign-looking update.
+
+    Each distance is computed from its own pair of rows alone, with one
+    BLAS dot as ``cosine_distance`` and ``np.linalg.norm(a - b)`` form
+    it, so identical rows tie exactly and nearest-donor choice keeps its
+    lower-id rule.
     """
-    n = len(vectors)
-    if n < 2:
+    X = np.asarray(vectors, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("need a sequence of equal-length vectors")
+    if len(X) < 2:
         raise ValueError("need at least two vectors")
-    if metric not in ("cosine", "euclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
-    D = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if metric == "cosine":
-                d = cosine_distance(vectors[i], vectors[j])
-            else:
-                d = float(np.linalg.norm(vectors[i] - vectors[j]))
-            D[i, j] = D[j, i] = d
-    return D
+    if metric == "cosine":
+        return gram_cosine_distances(_pairwise_gram(X))
+    if metric == "euclidean":
+        return _euclidean_distances(X)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def compute_update(

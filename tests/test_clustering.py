@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsurrogate.clustering import (
+    _naive_merge_tree,
+    _single_linkage,
     core_distances,
     hdbscan,
     hdbscan_reference,
@@ -138,3 +140,42 @@ class TestReferenceAgreement:
         a = hdbscan(D, 3, 2, selection_epsilon=0.5)
         b = hdbscan_reference(D, 3, 2, selection_epsilon=0.5)
         assert a.labels == b.labels
+
+
+def merge_sequence(n, children, dists):
+    """Each merge as (unordered pair of leaf sets, distance), in order."""
+    leaves = {i: frozenset([i]) for i in range(n)}
+    out = []
+    for node, ((a, b), d) in enumerate(zip(children, dists), start=n):
+        leaves[node] = leaves[a] | leaves[b]
+        out.append((frozenset([leaves[a], leaves[b]]), float(d)))
+    return out
+
+
+def tie_heavy_matrix(seed):
+    """Distances 1-3 between up to n distinct points, then duplicated
+    points (distance 0 to their copy): nearly every weight is tied."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 41))
+    m = int(rng.integers(2, n + 1))
+    B = np.triu(rng.integers(1, 4, size=(m, m)).astype(float), 1)
+    B = B + B.T
+    pick = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
+    rng.shuffle(pick)
+    return B[np.ix_(pick, pick)], rng
+
+
+class TestPrimTies:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_merge_sequence_and_labels_match_reference(self, seed):
+        D, rng = tie_heavy_matrix(seed)
+        n = len(D)
+        ms = int(rng.integers(1, min(4, n)))
+        MR = mutual_reachability(D, ms)
+        naive_children, naive_dists = _naive_merge_tree(MR)
+        nodes = range(n, 2 * n - 1)
+        want = merge_sequence(n, [naive_children[k] for k in nodes], [naive_dists[k] for k in nodes])
+        assert merge_sequence(n, *_single_linkage(MR)) == want
+        mcs = int(rng.integers(2, max(3, n // 3)))
+        eps = float(rng.choice([0.0, 1.5, 2.5]))
+        assert hdbscan(D, mcs, ms, eps).labels == hdbscan_reference(D, mcs, ms, eps).labels

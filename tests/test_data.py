@@ -136,6 +136,11 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_partition(ds, 5, alpha=0.0, seed=0)
 
+    def test_failed_redraws_raise_value_error(self):
+        ds = generate_synthetic(4, 16, 10, 0.1, seed=2)
+        with pytest.raises(ValueError, match="after 5 attempts"):
+            dirichlet_partition(ds, 40, alpha=0.5, seed=0, max_attempts=5)
+
 
 class TestTrigger:
     def test_round_robin_fragment(self):

@@ -21,7 +21,13 @@ from fedsurrogate.defense import (
     select_donor,
     update_memory,
 )
-from fedsurrogate.params import ClientUpdate, LayerSchema, ParameterVector, compute_update
+from fedsurrogate.params import (
+    ClientUpdate,
+    LayerSchema,
+    ParameterVector,
+    compute_update,
+    pairwise_distance_matrix,
+)
 
 
 def one_layer_updates(deltas, name="a"):
@@ -239,10 +245,11 @@ class TestSelectDonor:
         # trusted client 2 points the same way as the flagged client but is
         # scaled x10: cosine picks it, euclidean picks the nearby client 1
         feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([10.0, 0.0])]
-        D = np.zeros((3, 3))
+        cos = pairwise_distance_matrix(feats, "cosine")
+        euc = pairwise_distance_matrix(feats, "euclidean")
         idx = {0: 0, 1: 1, 2: 2}
-        assert select_donor(0, frozenset({1, 2}), D, idx, "cosine", feats) == 2
-        assert select_donor(0, frozenset({1, 2}), D, idx, "euclidean", feats) == 1
+        assert select_donor(0, frozenset({1, 2}), cos, idx) == 2
+        assert select_donor(0, frozenset({1, 2}), euc, idx) == 1
 
     def test_no_trusted(self):
         with pytest.raises(ValueError):
@@ -345,6 +352,15 @@ class TestFullRound:
                 ups, g, ScoreMemory(), LcaConfig(),
                 FilterConfig(rescue_layers=("fc2",)), AggregationWeights(),
                 variant="bogus",
+            )
+
+    def test_unknown_donor_metric(self):
+        ups, g = planted_round()
+        with pytest.raises(ValueError):
+            fedsurrogate_round(
+                ups, g, ScoreMemory(), LcaConfig(),
+                FilterConfig(rescue_layers=("fc2",)), AggregationWeights(),
+                donor_metric="manhattan",
             )
 
     def test_benign_round_close_to_fedavg(self):

@@ -116,6 +116,7 @@ class TestReports:
     def test_two_runs_byte_identical(self, quick_report):
         again = run_experiment(quick_config())
         assert report_to_csv(again) == report_to_csv(quick_report)
+        assert report_to_json(again) == report_to_json(quick_report)
 
 
 class TestSweepAblate:
@@ -169,6 +170,13 @@ class TestCli:
         assert payload["config"]["seed"] == 9          # CLI wins
         assert payload["config"]["rounds"] == 2        # file value kept
         assert payload["config"]["filter"]["zeta"] == 0.2
+
+    def test_unpartitionable_dataset_is_an_error_exit(self, tmp_path, monkeypatch, capsys):
+        # 320 clients over the default 300 samples per class: every
+        # Dirichlet draw leaves some client empty
+        monkeypatch.setenv("FEDSURROGATE_OUTPUT_DIR", str(tmp_path))
+        assert cli_main(["run", "--n-clients", "320", "--rounds", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: no partition gives each of 320")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -1,7 +1,9 @@
 """Command-line interface: ``run``, ``sweep``, and ``ablate``.
 
-Flags mirror the experiment configuration; a YAML config file may supply
-any subset of fields and explicit command-line flags override it. The
+Each config leaf's dotted path (``filter.zeta``) is its YAML key within
+its section, its flag (``--filter-zeta``) and its ``sweep --parameter``
+name. A YAML config file, such as a report's JSON ``config`` block, may
+supply any subset of fields and explicit flags override it. The
 ``FEDSURROGATE_OUTPUT_DIR`` environment variable overrides the output
 directory. Exit status is nonzero on any validation failure.
 
@@ -11,9 +13,9 @@ imported so results are bit-identical regardless of host parallelism.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
+import typing
 
 for _var in (
     "OMP_NUM_THREADS",
@@ -26,40 +28,18 @@ for _var in (
 
 import yaml  # noqa: E402
 
-from .attacks import AttackConfig  # noqa: E402
-from .defense import AggregationWeights, FilterConfig, LcaConfig  # noqa: E402
 from .harness import (  # noqa: E402
-    ATTACKS,
-    DEFENSES,
-    DONOR_METRICS,
-    DatasetSpec,
     ExperimentConfig,
     ablate,
+    config_fields,
     config_hash,
     emit_report,
     run_experiment,
+    set_fields,
     sweep,
 )
 
 OUTPUT_DIR_ENV = "FEDSURROGATE_OUTPUT_DIR"
-
-_SCALARS = {
-    "n_clients": int, "mcr": float, "pdr": float, "alpha": float,
-    "rounds": int, "benign_epochs": int, "malicious_epochs": int,
-    "lr": float, "batch": int, "attack_kind": str, "defense": str,
-    "donor_metric": str, "variant": str, "seed": int,
-    "warmup_epochs": int, "warmup_per_class": int,
-}
-_ATTACK_FIELDS = {
-    "poison_rate": float, "neurotoxin_ratio": float, "csa_lambda": float,
-    "cla_top_k": int, "boost": float,
-}
-_FILTER_FIELDS = {"zeta": float, "iqr_multiplier": float}
-_DATASET_FIELDS = {
-    "num_classes": int, "dim": int, "per_class": int, "test_per_class": int,
-    "spread": float, "background": float, "images_path": str,
-    "labels_path": str, "test_images_path": str, "test_labels_path": str,
-}
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -67,23 +47,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", default=".",
                    help=f"output directory (overridden by ${OUTPUT_DIR_ENV})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    for name, typ in _SCALARS.items():
-        flag = "--" + name.replace("_", "-")
-        if name == "attack_kind":
-            p.add_argument(flag, type=typ, choices=ATTACKS)
-        elif name == "defense":
-            p.add_argument(flag, type=typ, choices=DEFENSES)
-        elif name == "donor_metric":
-            p.add_argument(flag, type=typ, choices=DONOR_METRICS)
-        else:
-            p.add_argument(flag, type=typ)
-    for name, typ in _ATTACK_FIELDS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=typ)
-    for name, typ in _FILTER_FIELDS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=typ)
-    for name, typ in _DATASET_FIELDS.items():
-        p.add_argument("--dataset-" + name.replace("_", "-"), type=typ,
-                       dest="dataset_" + name)
+    for path in config_fields():
+        p.add_argument("--" + path.replace(".", "-").replace("_", "-"), dest=path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     _add_common_flags(p_sweep)
     p_sweep.add_argument("--parameter", required=True,
-                         help="config field to sweep (e.g. zeta, mcr, n_clients)")
+                         help="config field to sweep (e.g. filter.zeta, mcr, n_clients)")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
     p_ablate = sub.add_parser("ablate", help="run the pipeline ablation variants")
@@ -105,24 +70,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_section(file_cfg: dict, args: argparse.Namespace, fields: dict,
-                   section: str | None = None, prefix: str = "") -> dict:
+def _from_text(typ, text: str):
+    """A flag or sweep value as YAML would type it: a tuple splits on
+    commas, a number parses. Text that does not parse is left for the
+    config's coercion to reject by name."""
+    if typing.get_origin(typ) is tuple:
+        return [_from_text(typing.get_args(typ)[0], part.strip()) for part in text.split(",")]
+    if typ in (int, float):
+        try:
+            return typ(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _yaml_paths(mapping: dict, prefix: str = "") -> dict:
     out: dict = {}
-    file_section = file_cfg.get(section, {}) if section else file_cfg
-    if section and not isinstance(file_section, dict):
-        raise ValueError(f"config section {section!r} must be a mapping")
-    for name, typ in fields.items():
-        if name in file_section:
-            out[name] = typ(file_section[name])
-        cli_val = getattr(args, prefix + name, None)
-        if cli_val is not None:
-            out[name] = cli_val
+    for key, value in mapping.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out.update(_yaml_paths(value, path + "."))
+        else:
+            out[path] = value
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Build an ExperimentConfig from the config file plus CLI overrides."""
-    file_cfg: dict = {}
+    values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh)
@@ -130,44 +105,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             loaded = {}
         if not isinstance(loaded, dict):
             raise ValueError("config file must contain a mapping")
-        file_cfg = loaded
-    known = (
-        set(_SCALARS) | {"attack", "filter", "dataset", "zeta", "iqr_multiplier"}
-    )
-    unknown = set(file_cfg) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    kwargs = _merge_section(file_cfg, args, _SCALARS)
-    attack_kwargs = _merge_section(file_cfg, args, _ATTACK_FIELDS, "attack")
-    filter_kwargs = _merge_section(file_cfg, args, _FILTER_FIELDS, "filter")
-    dataset_kwargs = _merge_section(file_cfg, args, _DATASET_FIELDS, "dataset",
-                                    prefix="dataset_")
-    default = ExperimentConfig()
-    if attack_kwargs:
-        kwargs["attack"] = dataclasses.replace(default.attack, **attack_kwargs)
-    if filter_kwargs:
-        kwargs["filter"] = dataclasses.replace(default.filter, **filter_kwargs)
-    if dataset_kwargs:
-        kwargs["dataset"] = dataclasses.replace(default.dataset, **dataset_kwargs)
-    return dataclasses.replace(default, **kwargs)
-
-
-def _parse_values(parameter: str, raw: str) -> list:
-    values: list = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if parameter in ("donor_metric", "attack_kind", "defense"):
-            values.append(chunk)
-        elif parameter in ("n_clients", "seed"):
-            values.append(int(chunk))
-        else:
-            values.append(float(chunk))
-    if not values:
-        raise ValueError("empty sweep value list")
-    return values
+        values = _yaml_paths(loaded)
+    for path, typ in config_fields().items():
+        text = getattr(args, path)
+        if text is not None:
+            values[path] = _from_text(typ, text)
+    return set_fields(ExperimentConfig(), values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -185,7 +128,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"final MTA {report.final_mta:.4f}  final ASR {report.final_asr:.4f}  "
                   f"TPR {report.tpr:.4f}  FPR {report.fpr:.4f}")
         elif args.command == "sweep":
-            values = _parse_values(args.parameter, args.values)
+            typ = config_fields().get(args.parameter, str)
+            values = [_from_text(typ, chunk.strip())
+                      for chunk in args.values.split(",") if chunk.strip()]
             reports = sweep(cfg, args.parameter, values)
             for value, report in zip(values, reports):
                 tag = str(value).replace(".", "p")

@@ -33,6 +33,10 @@ DEFAULT_MIN_SAMPLES = 3
 # cluster, so benign micro-structure cannot fragment the honest mass.
 COARSE_SELECTION_EPSILON = 0.5
 
+# the ablations of ``fedsurrogate_round`` and Stage 3's donor metrics
+VARIANTS = ("full", "stage1", "no_rescue", "exclude")
+DONOR_METRICS = ("cosine", "euclidean")
+
 
 @dataclass(frozen=True)
 class LcaConfig:
@@ -387,9 +391,9 @@ def fedsurrogate_round(
       - ``"exclude"``: all stages, but confirmed clients are dropped from
         aggregation instead of being replaced by surrogates.
     """
-    if variant not in ("full", "stage1", "no_rescue", "exclude"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if donor_metric not in ("cosine", "euclidean"):
+    if donor_metric not in DONOR_METRICS:
         raise ValueError(f"unknown donor metric {donor_metric!r}")
     if len(updates) < 2:
         raise ValueError("need at least two clients")

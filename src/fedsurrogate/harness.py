@@ -11,8 +11,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import time
+import typing
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,8 @@ from .data import (
     load_idx,
 )
 from .defense import (
+    DONOR_METRICS,
+    VARIANTS,
     AggregationWeights,
     FilterConfig,
     LcaConfig,
@@ -47,8 +52,6 @@ from .params import ClientUpdate, ParameterVector, Role, compute_update
 
 ATTACKS = ("none", "cba", "dba", "neurotoxin", "csa", "cla")
 DEFENSES = ("fedsurrogate", "fedavg")
-DONOR_METRICS = ("cosine", "euclidean")
-VARIANTS = ("full", "stage1", "no_rescue", "exclude")
 
 
 class HonestMajorityWarning(UserWarning):
@@ -88,11 +91,9 @@ class DatasetSpec:
 class ExperimentConfig:
     n_clients: int = 20
     mcr: float = 0.2
-    pdr: float = 0.3
     alpha: float = 0.5
     rounds: int = 30
     benign_epochs: int = 2
-    malicious_epochs: int = 5
     lr: float = 0.05
     batch: int = 32
     attack_kind: str = "cba"
@@ -114,11 +115,9 @@ class ExperimentConfig:
             raise ValueError("n_clients must be >= 2")
         if not 0.0 <= self.mcr <= 1.0:
             raise ValueError("mcr must be in [0, 1]")
-        if not 0.0 < self.pdr <= 1.0:
-            raise ValueError("pdr must be in (0, 1]")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if min(self.rounds, self.benign_epochs, self.malicious_epochs, self.batch) < 1:
+        if min(self.rounds, self.benign_epochs, self.batch) < 1:
             raise ValueError("rounds, epochs and batch must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
@@ -132,10 +131,75 @@ class ExperimentConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.warmup_epochs < 0 or self.warmup_per_class < 1:
             raise ValueError("warmup fields must be non-negative / positive")
+        n_layers = len(self.hidden_dims) + 1
+        rescue = set(self.filter.rescue_layers)
+        if not rescue or rescue - {f"fc{k + 1}" for k in range(n_layers)}:
+            raise ValueError(
+                f"filter.rescue_layers {self.filter.rescue_layers} must name layers "
+                f"among fc1..fc{n_layers}, those of hidden_dims {self.hidden_dims}"
+            )
+
+    @property
+    def pdr(self) -> float:
+        """Poisoned-data rate of each attacker's shard."""
+        return self.attack.poison_rate
 
     @property
     def n_malicious(self) -> int:
         return int(np.floor(self.mcr * self.n_clients)) if self.attack_kind != "none" else 0
+
+
+def config_fields(cls: type = ExperimentConfig, prefix: str = "") -> dict[str, object]:
+    """Dotted path -> type of every settable leaf of the config, recursing
+    into the nested config dataclasses (``mcr``, ``filter.zeta``,
+    ``dataset.per_class``). Flags, YAML keys and sweep names all derive
+    from these paths."""
+    hints = typing.get_type_hints(cls)
+    leaves: dict[str, object] = {}
+    for f in dataclasses.fields(cls):
+        typ = hints[f.name]
+        if dataclasses.is_dataclass(typ):
+            leaves.update(config_fields(typ, f"{prefix}{f.name}."))
+        else:
+            leaves[prefix + f.name] = typ
+    return leaves
+
+
+def _coerce(path: str, typ, value):
+    """Strictly convert one value for the config leaf ``path``: an int
+    takes no bool or fraction, a float no bool, ``str | None`` takes
+    null, and a tuple takes a list of its element type."""
+    if typing.get_origin(typ) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_coerce(path, typing.get_args(typ)[0], v) for v in value)
+    if not isinstance(value, bool):
+        if typ is int and isinstance(value, numbers.Integral):
+            return int(value)
+        if typ is float and isinstance(value, numbers.Real):
+            return float(value)
+        if typ in (str, str | None) and isinstance(value, str):
+            return value
+    if typ == (str | None) and value is None:
+        return None
+    name = typ.__name__ if isinstance(typ, type) else str(typ)
+    raise ValueError(f"config key {path!r} takes {name}, not {value!r}")
+
+
+def set_fields(cfg: ExperimentConfig, values: Mapping[str, object]) -> ExperimentConfig:
+    """``cfg`` with each dotted leaf path in ``values`` set to its strictly
+    coerced value, each section replaced (and validated) once. An unknown
+    or misplaced key is rejected by name."""
+    leaves = config_fields()
+    unknown = sorted(set(values) - set(leaves))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    sections: dict[str, dict] = {}
+    for path, value in values.items():
+        section, _, name = path.rpartition(".")
+        sections.setdefault(section, {})[name] = _coerce(path, leaves[path], value)
+    top = sections.pop("", {})
+    for section, kwargs in sections.items():
+        top[section] = dataclasses.replace(getattr(cfg, section), **kwargs)
+    return dataclasses.replace(cfg, **top)
 
 
 @dataclass(frozen=True)
@@ -183,12 +247,8 @@ _TRAIN_TAG, _TEST_TAG, _WARM_TAG, _PART_TAG, _INIT_TAG, _CLIENT_TAG = range(0xA1
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable hash of the fully resolved configuration."""
-    blob = json.dumps(_config_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
@@ -243,9 +303,7 @@ def _train_one(
     )
     if not malicious:
         return local_train(arch, global_model, shard, tcfg)
-    attack = dataclasses.replace(
-        cfg.attack, poison_rate=cfg.pdr, malicious_epochs=cfg.malicious_epochs
-    )
+    attack = cfg.attack
     kind = cfg.attack_kind
     if kind == "cba":
         return cba_train(arch, global_model, shard, trigger, tcfg, attack)
@@ -349,28 +407,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     )
 
 
-_SWEEPABLE = {
-    "zeta": lambda cfg, v: dataclasses.replace(
-        cfg, filter=dataclasses.replace(cfg.filter, zeta=float(v))
-    ),
-    "mcr": lambda cfg, v: dataclasses.replace(cfg, mcr=float(v)),
-    "n_clients": lambda cfg, v: dataclasses.replace(cfg, n_clients=int(v)),
-    "pdr": lambda cfg, v: dataclasses.replace(cfg, pdr=float(v)),
-    "alpha": lambda cfg, v: dataclasses.replace(cfg, alpha=float(v)),
-    "seed": lambda cfg, v: dataclasses.replace(cfg, seed=int(v)),
-    "donor_metric": lambda cfg, v: dataclasses.replace(cfg, donor_metric=str(v)),
-    "attack_kind": lambda cfg, v: dataclasses.replace(cfg, attack_kind=str(v)),
-    "defense": lambda cfg, v: dataclasses.replace(cfg, defense=str(v)),
-}
-
-
 def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[RunReport]:
-    """One run per value of the named parameter, shared base seed."""
-    if parameter not in _SWEEPABLE:
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; choose from {sorted(_SWEEPABLE)}"
-        )
-    return [run_experiment(_SWEEPABLE[parameter](cfg, v)) for v in values]
+    """One run per value of the config leaf ``parameter`` (a dotted path
+    such as ``filter.zeta``), shared base seed. Every value is checked
+    before the first run starts."""
+    if not values:
+        raise ValueError("empty sweep value list")
+    configs = [set_fields(cfg, {parameter: v}) for v in values]
+    return [run_experiment(c) for c in configs]
 
 
 def ablate(cfg: ExperimentConfig) -> list[RunReport]:
@@ -402,7 +446,7 @@ def report_to_csv(report: RunReport) -> str:
 
 def report_to_json(report: RunReport) -> str:
     payload = {
-        "config": _config_dict(report.config),
+        "config": dataclasses.asdict(report.config),
         "config_hash": config_hash(report.config),
         "seed": report.seed,
         "records": [dataclasses.asdict(r) for r in report.records],

@@ -1,11 +1,17 @@
 import dataclasses
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
+from fedsurrogate import harness
+from fedsurrogate.cli import build_parser, resolve_config
 from fedsurrogate.cli import main as cli_main
 from fedsurrogate.harness import (
     DatasetSpec,
@@ -13,6 +19,7 @@ from fedsurrogate.harness import (
     HonestMajorityWarning,
     _derive_seed,
     ablate,
+    config_fields,
     config_hash,
     emit_report,
     report_to_csv,
@@ -59,6 +66,26 @@ class TestConfigValidation:
 
     def test_n_malicious_floor(self):
         assert quick_config(n_clients=20, mcr=0.3).n_malicious == 6
+
+    def test_rescue_layers_checked_against_hidden_dims(self):
+        with pytest.raises(ValueError, match="fc3"):
+            quick_config(hidden_dims=(32,))
+        with pytest.raises(ValueError, match="rescue_layers"):
+            quick_config(filter=dataclasses.replace(ExperimentConfig().filter,
+                                                    rescue_layers=()))
+        flt = dataclasses.replace(ExperimentConfig().filter, rescue_layers=("fc2",))
+        assert quick_config(hidden_dims=(32,), filter=flt).hidden_dims == (32,)
+
+    def test_attack_config_reaches_the_attack(self, monkeypatch):
+        seen = []
+        real = harness.cba_train
+        monkeypatch.setattr(harness, "cba_train",
+                            lambda *a: seen.append(a[-1]) or real(*a))
+        attack = dataclasses.replace(ExperimentConfig().attack,
+                                     poison_rate=0.9, malicious_epochs=1)
+        run_experiment(quick_config(rounds=1, attack=attack))
+        assert seen and all(a == attack for a in seen)
+        assert quick_config(attack=attack).pdr == 0.9
 
     def test_honest_majority_warned(self):
         cfg = quick_config(n_clients=4, mcr=0.5, rounds=1)
@@ -186,12 +213,12 @@ class TestCli:
     def test_sweep_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDSURROGATE_OUTPUT_DIR", str(tmp_path))
         rc = cli_main([
-            "sweep", "--parameter", "zeta", "--values", "0.2,0.4",
+            "sweep", "--parameter", "filter.zeta", "--values", "0.2,0.4",
             "--rounds", "1", "--n-clients", "6", "--warmup-epochs", "1",
             "--dataset-per-class", "40", "--dataset-test-per-class", "10",
         ])
         assert rc == 0
-        assert len(list(tmp_path.glob("sweep_zeta_*.csv"))) == 2
+        assert len(list(tmp_path.glob("sweep_filter.zeta_*.csv"))) == 2
 
     def test_ablate_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDSURROGATE_OUTPUT_DIR", str(tmp_path))
@@ -202,6 +229,108 @@ class TestCli:
         assert rc == 0
         names = {p.name.split("_", 2)[1] for p in tmp_path.glob("ablate_*.csv")}
         assert {"stage1", "no", "exclude", "full"} <= names
+
+
+# a valid non-default value for each leaf a +1 / x0.9 rule cannot give
+_OTHER = {
+    "attack_kind": "dba", "defense": "fedavg", "lca.mode": "mad_threshold",
+    "donor_metric": "euclidean", "variant": "stage1",
+    "filter.rescue_layers": ("fc2",), "hidden_dims": (24, 12),
+}
+_PATHS = [p for p in config_fields() if p.startswith("dataset.") and p.endswith("_path")]
+
+
+def _leaf(cfg, path):
+    return functools.reduce(getattr, path.split("."), cfg)
+
+
+def _settings(path):
+    """Values that set ``path`` to a valid non-default value: an IDX
+    path needs its three companions."""
+    if path in _PATHS:
+        return {p: f"{p}.idx" for p in _PATHS}
+    if path in _OTHER:
+        return {path: _OTHER[path]}
+    default = _leaf(ExperimentConfig(), path)
+    return {path: default + 1 if isinstance(default, int) else default * 0.9}
+
+
+def _nested(values):
+    out: dict = {}
+    for path, value in values.items():
+        *sections, name = path.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _resolve(*argv):
+    return resolve_config(build_parser().parse_args(["run", *argv]))
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("path", list(config_fields()))
+    def test_every_leaf_settable_from_yaml(self, path, tmp_path):
+        values = _settings(path)
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(_nested(values)))
+        cfg = _resolve("--config", str(cfg_file))
+        assert _leaf(cfg, path) == values[path] != _leaf(ExperimentConfig(), path)
+
+    @pytest.mark.parametrize("path", list(config_fields()))
+    def test_every_leaf_settable_from_its_flag(self, path):
+        values = _settings(path)
+        argv = []
+        for p, v in values.items():
+            text = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            argv += ["--" + p.replace(".", "-").replace("_", "-"), text]
+        cfg = _resolve(*argv)
+        assert _leaf(cfg, path) == values[path] != _leaf(ExperimentConfig(), path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("zeta: 0.9\n", "'zeta'"),
+        ("filter:\n  zetta: 0.2\n", "'filter.zetta'"),
+        ("rounds: 2.7\n", "'rounds'"),
+        ("mcr: true\n", "'mcr'"),
+        ("pdr: 0.5\n", "'pdr'"),
+        ("dataset: 3\n", "'dataset'"),
+    ])
+    def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(text)
+        assert cli_main(["run", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rounds", "2.7"), ("--mcr", "true"), ("--hidden-dims", "32,x"),
+    ])
+    def test_bad_flag_value_exits_2(self, flag, value, capsys):
+        assert cli_main(["run", flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: config key")
+
+    def test_null_path_stays_none(self, tmp_path):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text("dataset:\n  images_path: null\n")
+        assert _resolve("--config", str(cfg_file)).dataset.images_path is None
+
+    def test_report_config_block_reproduces_hash(self, quick_report, tmp_path):
+        payload = json.loads(report_to_json(quick_report))
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload["config"]))
+        cfg = _resolve("--config", str(cfg_file))
+        assert cfg == quick_report.config
+        assert config_hash(cfg) == payload["config_hash"]
+
+    def test_readme_yaml_example_resolves(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(example)
+        cfg = _resolve("--config", str(cfg_file))
+        assert cfg != ExperimentConfig()
 
 
 class TestIdxIntegration:

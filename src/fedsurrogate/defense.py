@@ -20,6 +20,7 @@ from .params import (
     EPS_ZERO,
     ClientUpdate,
     ParameterVector,
+    cosine_distance_rows,
     gram_cosine_distances,
     pairwise_distance_matrix,
 )
@@ -302,7 +303,8 @@ def select_donor(
     features: Sequence[np.ndarray] | None = None,
 ) -> int:
     """Nearest trusted donor for a flagged client by the donor-distance
-    matrix D; ties by lower id.
+    matrix D, of which only the flagged client's row is read; ties by
+    lower id.
 
     ``index_of`` maps client ids to rows of D. ``metric`` and
     ``features`` are not read: D already holds the distances under the
@@ -423,7 +425,9 @@ def fedsurrogate_round(
     trusted = coarse | rescued
 
     # Stage 3: one donor-distance matrix per round. The coarse D is
-    # already euclidean over the same critical-layer features.
+    # already euclidean over the same critical-layer features; cosine
+    # distances are computed for the flagged rows only, the rows
+    # select_donor reads, and the other rows are left NaN.
     donors: dict[int, int] = {}
     models: dict[int, ParameterVector] = {}
     roles: dict[int, str] = {}
@@ -434,8 +438,11 @@ def fedsurrogate_round(
             models[cid], roles[cid] = by_id[cid].model, "rescued"
     # no trusted clients at all: flagged updates are simply excluded
     if flagged and trusted and variant not in ("stage1", "exclude"):
-        donor_D = D if donor_metric == "euclidean" else pairwise_distance_matrix(
-            _critical_features(updates, critical), metric="cosine")
+        donor_D = D
+        if donor_metric == "cosine":
+            rows = [index_of[cid] for cid in sorted(flagged)]
+            donor_D = np.full(D.shape, np.nan)
+            donor_D[rows] = cosine_distance_rows(_critical_features(updates, critical), rows)
         for cid in sorted(flagged):
             donor = select_donor(cid, trusted, donor_D, index_of)
             donors[cid] = donor

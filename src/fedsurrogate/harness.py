@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import time
 import typing
@@ -35,6 +36,7 @@ from .data import (
     dirichlet_partition,
     generate_synthetic,
     load_idx,
+    triggered_test_set,
 )
 from .defense import (
     DONOR_METRICS,
@@ -47,7 +49,7 @@ from .defense import (
     fedsurrogate_round,
 )
 from .metrics import DetectionTally, asr, main_task_accuracy, mcc, rates, tally_round
-from .model import MlpArchitecture, TrainConfig, evaluate, init_model, local_train
+from .model import MlpArchitecture, TrainConfig, init_model, local_train
 from .params import ClientUpdate, ParameterVector, Role, compute_update
 
 ATTACKS = ("none", "cba", "dba", "neurotoxin", "csa", "cla")
@@ -165,22 +167,32 @@ def config_fields(cls: type = ExperimentConfig, prefix: str = "") -> dict[str, o
     return leaves
 
 
+def _finite(value: numbers.Real) -> bool:
+    """Whether a real number is a finite float (an int too large for
+    one is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _coerce(path: str, typ, value):
     """Strictly convert one value for the config leaf ``path``: an int
-    takes no bool or fraction, a float no bool, ``str | None`` takes
-    null, and a tuple takes a list of its element type."""
+    takes no bool or fraction, a float no bool, NaN or infinity (a NaN
+    threshold turns its comparison off), ``str | None`` takes null, and
+    a tuple takes a list of its element type."""
     if typing.get_origin(typ) is tuple and isinstance(value, (list, tuple)):
         return tuple(_coerce(path, typing.get_args(typ)[0], v) for v in value)
     if not isinstance(value, bool):
         if typ is int and isinstance(value, numbers.Integral):
             return int(value)
-        if typ is float and isinstance(value, numbers.Real):
+        if typ is float and isinstance(value, numbers.Real) and _finite(value):
             return float(value)
         if typ in (str, str | None) and isinstance(value, str):
             return value
     if typ == (str | None) and value is None:
         return None
-    name = typ.__name__ if isinstance(typ, type) else str(typ)
+    name = "finite float" if typ is float else typ.__name__ if isinstance(typ, type) else str(typ)
     raise ValueError(f"config key {path!r} takes {name}, not {value!r}")
 
 
@@ -347,6 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                         seed=_derive_seed(cfg.seed, _WARM_TAG, 1)),
         )
 
+    triggered = triggered_test_set(test, trigger) if cfg.attack_kind != "none" else None
     mem = ScoreMemory()
     tally = DetectionTally()
     prev_delta: np.ndarray | None = None
@@ -388,7 +401,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             RoundRecord(
                 round=rnd,
                 mta=main_task_accuracy(arch, global_model, test),
-                asr=asr(arch, global_model, test, trigger) if cfg.attack_kind != "none" else 0.0,
+                asr=asr(arch, global_model, test, trigger, triggered=triggered)
+                if triggered is not None else 0.0,
                 n_flagged=len(flagged),
                 n_rescued=n_rescued,
                 degenerate=degenerate,

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .data import Dataset, TriggerSpec, triggered_test_set
-from .model import MlpArchitecture, evaluate
+from .model import MlpArchitecture, evaluate, predict
 from .params import ParameterVector, Role
 
 
@@ -37,14 +37,16 @@ def asr(
     params: ParameterVector,
     test: Dataset,
     trigger: TriggerSpec,
+    triggered: Dataset | None = None,
 ) -> float:
     """Attack success rate: fraction of triggered non-target-class test
-    samples classified as the trigger's target label."""
-    triggered = triggered_test_set(test, trigger)
+    samples classified as the trigger's target label. ``triggered`` is
+    ``triggered_test_set(test, trigger)`` when the caller already holds
+    it, as a run does from its first round on."""
+    if triggered is None:
+        triggered = triggered_test_set(test, trigger)
     if not len(triggered):
         raise ValueError("no test samples outside the target class")
-    from .model import predict
-
     preds = predict(arch, params, triggered.features)
     return float(np.mean(preds == trigger.target_label))
 

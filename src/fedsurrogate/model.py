@@ -44,16 +44,19 @@ class MlpArchitecture:
         ]
         return LayerSchema.from_lengths(lengths)
 
-    def unpack(self, params: ParameterVector) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views per layer; weight shape (fan_in, fan_out)."""
-        out = []
-        for k in range(self.num_layers):
-            fan_in, fan_out = self.layer_dims[k], self.layer_dims[k + 1]
-            flat = params.layer(f"fc{k + 1}")
-            W = flat[: fan_in * fan_out].reshape(fan_in, fan_out)
-            b = flat[fan_in * fan_out:]
-            out.append((W, b))
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views per layer over a flat parameter array;
+        weight shape (fan_in, fan_out)."""
+        out, lo = [], 0
+        for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
+            mid = lo + fan_in * fan_out
+            out.append((flat[lo:mid].reshape(fan_in, fan_out), flat[mid: mid + fan_out]))
+            lo = mid + fan_out
         return out
+
+    def unpack(self, params: ParameterVector) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views per layer of a parameter vector."""
+        return self.views(params.values)
 
 
 @dataclass(frozen=True)
@@ -81,69 +84,28 @@ def init_model(arch: MlpArchitecture, seed: int) -> ParameterVector:
     return ParameterVector(values, schema)
 
 
+def _forward(
+    layers: Sequence[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits of the float64 batch ``x`` under the (W, b) ``layers``,
+    plus the input and each hidden post-activation."""
+    cache = [x]
+    for W, b in layers[:-1]:
+        x = np.maximum(x @ W + b, 0.0)
+        cache.append(x)
+    W, b = layers[-1]
+    return x @ W + b, cache
+
+
 def forward(
     arch: MlpArchitecture, params: ParameterVector, features: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits of shape (batch, classes) plus cached activations.
-
-    The cache holds the input and each hidden post-activation, as needed
-    by :func:`backward`.
-    """
+    """Logits of shape (batch, classes) plus cached activations: the
+    input and each hidden post-activation, as backpropagation needs."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != arch.layer_dims[0]:
         raise ValueError(f"feature dim {x.shape[1]} != input dim {arch.layer_dims[0]}")
-    cache = [x]
-    for k, (W, b) in enumerate(arch.unpack(params)):
-        x = x @ W + b
-        if k < arch.num_layers - 1:
-            x = np.maximum(x, 0.0)
-            cache.append(x)
-    return x, cache
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of softmax(logits) against integer labels."""
-    probs = _softmax(logits)
-    n = len(labels)
-    return float(-np.mean(np.log(np.maximum(probs[np.arange(n), labels], 1e-300))))
-
-
-def backward(
-    arch: MlpArchitecture,
-    params: ParameterVector,
-    cache: list[np.ndarray],
-    labels: np.ndarray,
-) -> ParameterVector:
-    """Gradient of mean softmax cross-entropy over the batch."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= arch.num_classes:
-        raise ValueError("label out of range")
-    weights = arch.unpack(params)
-    # recompute logits from the last hidden activation
-    logits = cache[-1] @ weights[-1][0] + weights[-1][1]
-    n = len(labels)
-    probs = _softmax(logits)
-    probs[np.arange(n), labels] -= 1.0
-    delta = probs / n  # dL/dlogits
-
-    schema = params.schema
-    grad = np.zeros(schema.total_length, dtype=np.float64)
-    for k in range(arch.num_layers - 1, -1, -1):
-        W, _ = weights[k]
-        a_prev = cache[k]
-        lo, _hi = schema.bounds(f"fc{k + 1}")
-        nw = W.size
-        grad[lo: lo + nw] = (a_prev.T @ delta).ravel()
-        grad[lo + nw: lo + nw + W.shape[1]] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ W.T) * (a_prev > 0.0)
-    return ParameterVector(grad, schema)
+    return _forward(arch.unpack(params), x)
 
 
 def local_train(
@@ -154,30 +116,58 @@ def local_train(
     extra_grad: Callable[[np.ndarray], np.ndarray] | None = None,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ParameterVector:
-    """Plain SGD: ``epochs`` passes of seeded-shuffled mini-batches.
+    """Plain SGD on mean softmax cross-entropy: ``epochs`` passes of
+    seeded-shuffled mini-batches.
 
     ``extra_grad`` maps the current flat parameter array to an additional
     gradient added at every step (used by regularised attacks);
     ``post_step`` maps the parameters after each step to a projected
-    version (used by masked attacks).
+    version (used by masked attacks). Neither may keep or modify the
+    array it is given.
+
+    The layer views over one working parameter buffer and one gradient
+    buffer are built once per call, so a step is numpy work only. The
+    result is checked once: an entry that turns non-finite at any step
+    stays non-finite under every later step, so the returned vector's
+    check raises whenever a per-step check would have.
     """
     if not len(data):
         raise ValueError("empty training data")
+    features = np.asarray(data.features, dtype=np.float64)
+    if features.shape[1] != arch.layer_dims[0]:
+        raise ValueError(f"feature dim {features.shape[1]} != input dim {arch.layer_dims[0]}")
+    labels = np.asarray(data.labels, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= arch.num_classes:
+        raise ValueError("label out of range")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(cfg.seed), 0x7A]))
     values = start.values.copy()
-    n = len(data)
+    grad = np.empty_like(values)
+    layers, grads = arch.views(values), arch.views(grad)
+    n, lr = len(labels), cfg.learning_rate
+    rows = np.arange(min(cfg.batch_size, n))
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo: lo + cfg.batch_size]
-            current = ParameterVector(values, start.schema)
-            _, cache = forward(arch, current, data.features[idx])
-            grad = backward(arch, current, cache, data.labels[idx]).values
-            if extra_grad is not None:
-                grad = grad + extra_grad(values)
-            values = values - cfg.learning_rate * grad
+            m = len(idx)
+            delta, cache = _forward(layers, features[idx])
+            # d(loss)/d(logits) = (softmax - one_hot) / m, in place
+            delta -= delta.max(axis=1, keepdims=True)
+            np.exp(delta, out=delta)
+            delta /= delta.sum(axis=1, keepdims=True)
+            delta[rows[:m], labels[idx]] -= 1.0
+            delta /= m
+            for k in range(len(layers) - 1, -1, -1):
+                np.matmul(cache[k].T, delta, out=grads[k][0])
+                delta.sum(axis=0, out=grads[k][1])
+                if k:
+                    delta = (delta @ layers[k][0].T) * (cache[k] > 0.0)
+            if extra_grad is None:
+                values -= lr * grad
+            else:
+                values -= lr * (grad + extra_grad(values))
             if post_step is not None:
-                values = post_step(values)
+                values[:] = post_step(values)
     return ParameterVector(values, start.schema)
 
 

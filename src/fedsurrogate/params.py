@@ -146,6 +146,20 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - max(-1.0, min(1.0, cos))
 
 
+def _cosine_from_gram(G: np.ndarray, sq_norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Cosine distances from the rows ``rows`` of a Gram matrix, ``G``
+    of shape (len(rows), n), given every row's squared norm: see
+    ``gram_cosine_distances``."""
+    norms = np.sqrt(sq_norms)
+    ok = norms >= EPS_ZERO
+    scale = np.where(ok, norms, 1.0)
+    D = 1.0 - np.clip(G / np.outer(scale[rows], scale), -1.0, 1.0)
+    D[~ok[rows], :] = ZERO_NORM_DISTANCE
+    D[:, ~ok] = ZERO_NORM_DISTANCE
+    D[np.arange(len(rows)), rows] = 0.0
+    return D
+
+
 def gram_cosine_distances(G: np.ndarray) -> np.ndarray:
     """Pairwise ``cosine_distance`` from a Gram matrix ``G = X @ X.T``:
     1 - G_ij / (|x_i| |x_j|) with |x_i| = sqrt(G_ii), clipped to [0, 2].
@@ -156,14 +170,7 @@ def gram_cosine_distances(G: np.ndarray) -> np.ndarray:
     of X differently, so it suits sums of distances; where ties between
     identical rows must stay exact, form G entry by entry, as
     ``pairwise_distance_matrix`` does."""
-    norms = np.sqrt(np.diag(G))
-    ok = norms >= EPS_ZERO
-    scale = np.where(ok, norms, 1.0)
-    D = 1.0 - np.clip(G / np.outer(scale, scale), -1.0, 1.0)
-    D[~ok, :] = ZERO_NORM_DISTANCE
-    D[:, ~ok] = ZERO_NORM_DISTANCE
-    np.fill_diagonal(D, 0.0)
-    return D
+    return _cosine_from_gram(G, np.diag(G), np.arange(len(G)))
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -200,6 +207,21 @@ def _euclidean_distances(X: np.ndarray) -> np.ndarray:
             diff = np.subtract(X[lo:hi], X[i], out=buf[: hi - lo])
             D[i, lo:hi] = np.sqrt(_row_dots(diff, diff))
     return D + D.T
+
+
+def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """The rows ``rows`` of ``pairwise_distance_matrix(X, "cosine")``,
+    bit for bit, from len(rows) rows of dots instead of n / 2: each
+    entry is the same BLAS dot, its operands in the same order."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
+    G = np.empty((len(rows), len(X)))
+    for g, i in zip(G, rows):
+        # _pairwise_gram forms G[i, j] as X[j] . X[i] for j >= i and as
+        # X[i] . X[j] below the diagonal
+        g[i:] = _row_dots(X[i:], X[i])
+        g[:i] = _row_dots(np.broadcast_to(X[i], (i, X.shape[1])), X[:i])
+    return _cosine_from_gram(G, _row_dots(X, X), rows)
 
 
 def pairwise_distance_matrix(

@@ -22,6 +22,7 @@ from fedsurrogate.params import (
     LayerSchema,
     ParameterVector,
     cosine_distance,
+    cosine_distance_rows,
     pairwise_distance_matrix,
 )
 
@@ -176,3 +177,42 @@ def test_round_donors_match_oracle(seed, metric):
     features = [u.delta.restricted(outcome.critical_layers) for u in updates]
     for flagged, donor in outcome.donors.items():
         assert donor == donor_oracle(flagged, outcome.trusted, features, metric)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cosine_rows_equal_full_matrix_rows(seed):
+    X = random_rows(seed, 1 + seed % 50)
+    rng = np.random.default_rng(2000 + seed)
+    rows = sorted(rng.choice(len(X), size=int(rng.integers(1, len(X) + 1)), replace=False))
+    with np.errstate(all="raise"):
+        got = cosine_distance_rows(X, rows)
+        want = pairwise_distance_matrix(X, "cosine")[rows]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_round_donors_equal_full_matrix_donors_on_ties(seed):
+    """Benign rows come in groups of identical copies and some are zero,
+    so most flagged clients have tied nearest donors; the donors from
+    the flagged rows alone must equal those from the full cosine matrix."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(SCHEMA.total_length)
+    groups = [base + 0.05 * rng.standard_normal(SCHEMA.total_length) for _ in range(4)]
+    rows = [groups[i % 4] for i in range(12)] + [np.zeros(SCHEMA.total_length)] * 2
+    rows += [-3.0 * base + rng.standard_normal(SCHEMA.total_length) for _ in range(4)]
+    order = rng.permutation(len(rows))
+    updates = updates_of(np.array(rows)[order])
+    g = ParameterVector(np.zeros(SCHEMA.total_length), SCHEMA)
+    with np.errstate(all="raise"):
+        _, outcome, _ = fedsurrogate_round(
+            updates, g, ScoreMemory(), LcaConfig(top_k=2),
+            FilterConfig(rescue_layers=("fc2", "fc3")), AggregationWeights(),
+        )
+    assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
+    features = np.array([u.delta.restricted(outcome.critical_layers) for u in updates])
+    D = pairwise_distance_matrix(features, "cosine")
+    index_of = {c: c for c in range(len(updates))}
+    want = {c: select_donor(c, outcome.trusted, D, index_of) for c in outcome.donors}
+    assert outcome.donors == want
+    pool = sorted(outcome.trusted)
+    assert any(np.sum(D[c, pool] == D[c, pool].min()) > 1 for c in outcome.donors)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fedsurrogate import harness
+from fedsurrogate import data, harness, metrics
 from fedsurrogate.cli import build_parser, resolve_config
 from fedsurrogate.cli import main as cli_main
 from fedsurrogate.harness import (
@@ -144,6 +144,21 @@ class TestReports:
         again = run_experiment(quick_config())
         assert report_to_csv(again) == report_to_csv(quick_report)
         assert report_to_json(again) == report_to_json(quick_report)
+
+    @pytest.mark.parametrize("attack_kind, builds", [("cba", 1), ("none", 0)])
+    def test_triggered_test_set_built_once_per_run(self, attack_kind, builds, monkeypatch):
+        built, build = [], data.triggered_test_set
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return build(*args, **kwargs)
+
+        # every module that holds the name, so a build anywhere counts
+        for module in (data, metrics, harness):
+            monkeypatch.setattr(module, "triggered_test_set", counted)
+        report = run_experiment(quick_config(attack_kind=attack_kind))
+        monkeypatch.undo()
+        assert len(report.records) == 3 and len(built) == builds
 
 
 class TestSweepAblate:
@@ -296,6 +311,7 @@ class TestConfigSchema:
         ("mcr: true\n", "'mcr'"),
         ("pdr: 0.5\n", "'pdr'"),
         ("dataset: 3\n", "'dataset'"),
+        ("alpha: " + "9" * 400 + "\n", "'alpha'"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.yaml"
@@ -310,6 +326,17 @@ class TestConfigSchema:
     def test_bad_flag_value_exits_2(self, flag, value, capsys):
         assert cli_main(["run", flag, value]) == 2
         assert capsys.readouterr().err.startswith("error: config key")
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("path", [p for p, t in config_fields().items() if t is float])
+    def test_non_finite_float_exits_2_naming_it(self, path, text, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(yaml.safe_dump(_nested({path: float(text)})))
+        flag = "--" + path.replace(".", "-").replace("_", "-")
+        for argv in (["--config", str(cfg_file)], [flag, text]):
+            assert cli_main(["run", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config key") and repr(path) in err
 
     def test_null_path_stays_none(self, tmp_path):
         cfg_file = tmp_path / "cfg.yaml"

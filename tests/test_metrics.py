@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsurrogate.data import Dataset, corner_patch_trigger, generate_synthetic
+from fedsurrogate.data import Dataset, corner_patch_trigger, generate_synthetic, triggered_test_set
 from fedsurrogate.metrics import (
     DetectionTally,
     asr,
@@ -10,7 +10,7 @@ from fedsurrogate.metrics import (
     rates,
     tally_round,
 )
-from fedsurrogate.model import MlpArchitecture
+from fedsurrogate.model import MlpArchitecture, init_model
 from fedsurrogate.params import ParameterVector, Role
 
 
@@ -43,6 +43,14 @@ class TestAsr:
         ds = Dataset(np.zeros((5, 64)), np.ones(5, dtype=np.int64), 4)
         with pytest.raises(ValueError):
             asr(arch, constant_class_model(arch, 1), ds, trigger)
+
+    def test_prebuilt_triggered_set_gives_the_same_rate(self):
+        arch = MlpArchitecture((64, 4, 4))
+        trigger = corner_patch_trigger(64, target_label=1)
+        model = init_model(arch, 3)
+        ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
+        rate = asr(arch, model, ds, trigger, triggered=triggered_test_set(ds, trigger))
+        assert rate == asr(arch, model, ds, trigger)
 
     def test_mta_constant_model(self):
         arch = MlpArchitecture((64, 4, 4))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fedsurrogate.data import Dataset, generate_synthetic
+from fedsurrogate import attacks, model
+from fedsurrogate.data import corner_patch_trigger
 from fedsurrogate.model import (
     MlpArchitecture,
     TrainConfig,
-    backward,
-    cross_entropy,
     evaluate,
     forward,
     init_model,
@@ -14,6 +14,8 @@ from fedsurrogate.model import (
     predict,
 )
 from fedsurrogate.params import ParameterVector
+
+from model_oracle import backward, cross_entropy, local_train_reference
 
 
 def grad_finite_difference(arch, params, features, labels, eps=1e-6):
@@ -136,6 +138,125 @@ class TestLocalTrain:
         cfg = TrainConfig(epochs=1, learning_rate=0.1, batch_size=8, seed=0)
         with pytest.raises(ValueError):
             local_train(self.arch, self.start, empty, cfg)
+
+
+def random_shard(seed):
+    """A small seeded shard and architecture. Sizes run from a single
+    row up, so tail batches (down to m = 1) and batches larger than the
+    shard both occur; features are float64, float32 or 0/1 integers."""
+    rng = np.random.default_rng(seed)
+    dims = (int(rng.integers(1, 9)), *rng.integers(1, 7, size=int(rng.integers(1, 3))),
+            int(rng.integers(2, 5)))
+    n = 1 if seed % 7 == 0 else int(rng.integers(2, 60))
+    kind = seed % 3
+    if kind == 0:
+        feats = rng.uniform(0, 1, (n, dims[0]))
+    elif kind == 1:
+        feats = rng.uniform(0, 1, (n, dims[0])).astype(np.float32)
+    else:
+        feats = rng.integers(0, 2, (n, dims[0]))
+    data = Dataset(feats, rng.integers(0, dims[-1], n), dims[-1])
+    batch = int(rng.integers(1, n + 1)) if seed % 4 else n + int(rng.integers(1, 10))
+    cfg = TrainConfig(epochs=int(rng.integers(1, 4)), learning_rate=float(rng.uniform(0.01, 0.5)),
+                      batch_size=batch, seed=seed)
+    arch = MlpArchitecture(tuple(int(d) for d in dims))
+    return arch, init_model(arch, seed), data, cfg
+
+
+def pull(target, lam):
+    """An extra gradient pulling every coordinate towards ``target``."""
+    return lambda values: lam * (values - target)
+
+
+def project(start, mask):
+    """Neurotoxin's projection: the deviation from ``start`` is kept on
+    ``mask`` only."""
+    return lambda values: start + np.where(mask, values - start, 0.0)
+
+
+class TestLocalTrainOracle:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_plain_matches_per_step_loop(self, seed):
+        arch, start, data, cfg = random_shard(seed)
+        got = local_train(arch, start, data, cfg)
+        assert np.array_equal(got.values, local_train_reference(arch, start, data, cfg).values)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_extra_grad_and_post_step_match(self, seed):
+        arch, start, data, cfg = random_shard(seed)
+        rng = np.random.default_rng(100 + seed)
+        target = rng.standard_normal(start.values.size)
+        mask = rng.uniform(size=start.values.size) < 0.6
+        hooks = [dict(extra_grad=pull(target, 0.3)),
+                 dict(post_step=project(start.values, mask)),
+                 dict(extra_grad=pull(target, 0.3), post_step=project(start.values, mask))]
+        for kw in hooks:
+            got = local_train(arch, start, data, cfg, **kw)
+            want = local_train_reference(arch, start, data, cfg, **kw)
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("train", [attacks.csa_train, attacks.neurotoxin_train])
+    def test_attack_hooks_match(self, train, monkeypatch):
+        """CSA's cosine penalty and Neurotoxin's projection, as the
+        attacks build them."""
+        ds = generate_synthetic(4, 64, 20, 0.1, seed=3)
+        arch = MlpArchitecture((64, 8, 4))
+        start = init_model(arch, 3)
+        args = (arch, start, ds, corner_patch_trigger(64), TrainConfig(2, 0.1, 16, 5),
+                attacks.AttackConfig(boost=1.0))
+        if train is attacks.neurotoxin_train:
+            args += (np.random.default_rng(3).standard_normal(start.values.size),)
+        got = train(*args)
+        monkeypatch.setattr(attacks, "local_train", local_train_reference)
+        assert np.array_equal(got.values, train(*args).values)
+
+    @pytest.mark.parametrize("post_step", [False, True])
+    def test_overflow_raises_as_the_per_step_loop(self, post_step):
+        ds = generate_synthetic(3, 16, 30, 0.1, seed=0)
+        arch = MlpArchitecture((16, 8, 3))
+        start = init_model(arch, 0)
+        cfg = TrainConfig(epochs=2, learning_rate=1e300, batch_size=8, seed=0)
+        mask = np.arange(start.values.size) % 2 == 0
+        kw = dict(post_step=project(start.values, mask)) if post_step else {}
+        errors = []
+        for train in (local_train, local_train_reference):
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+                train(arch, start, ds, cfg, **kw)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "parameter vector contains non-finite entries"
+
+    def test_one_huge_step_stays_finite_in_both(self):
+        ds = generate_synthetic(3, 16, 2, 0.1, seed=0)
+        arch = MlpArchitecture((16, 8, 3))
+        start = init_model(arch, 0)
+        cfg = TrainConfig(epochs=1, learning_rate=1e300, batch_size=8, seed=0)
+        got = local_train(arch, start, ds, cfg)
+        assert np.array_equal(got.values, local_train_reference(arch, start, ds, cfg).values)
+
+    def test_one_parameter_vector_per_call(self, monkeypatch):
+        built = []
+
+        class Counted(ParameterVector):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        arch, start, data, cfg = random_shard(1)
+        monkeypatch.setattr(model, "ParameterVector", Counted)
+        local_train(arch, start, data, cfg)
+        assert len(built) == 1
+
+    def test_label_beyond_the_head_rejected(self):
+        arch = MlpArchitecture((2, 3, 2))
+        data = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 3)
+        with pytest.raises(ValueError, match="label out of range"):
+            local_train(arch, init_model(arch, 0), data, TrainConfig(1, 0.1, 8, 0))
+
+    def test_feature_dim_mismatch_rejected(self):
+        arch = MlpArchitecture((4, 3, 2))
+        data = Dataset(np.zeros((3, 5)), np.array([0, 1, 1]), 2)
+        with pytest.raises(ValueError, match="feature dim"):
+            local_train(arch, init_model(arch, 0), data, TrainConfig(1, 0.1, 8, 0))
 
 
 class TestEvaluate:

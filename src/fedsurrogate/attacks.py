@@ -156,18 +156,22 @@ def csa_train(
     reference = local_train(arch, global_model, shard, cfg)
     poisoned = poison_partition(shard, attack.poison_rate, trigger,
                                 fragment_index=None, seed=cfg.seed)
-    schema = arch.schema()
     lam = attack.csa_lambda
+    # the reference layers and their norms are fixed for the call; a
+    # layer whose reference norm is degenerate gets no penalty
+    layers = []
+    for _, lo, length in arch.schema().layers:
+        r = reference.values[lo:lo + length]
+        rn = float(np.linalg.norm(r))
+        if rn >= EPS_ZERO:
+            layers.append((lo, lo + length, r, rn))
 
     def penalty_grad(params: np.ndarray) -> np.ndarray:
         grad = np.zeros_like(params)
-        for name in schema.names:
-            lo, hi = schema.bounds(name)
+        for lo, hi, r, rn in layers:
             w = params[lo:hi]
-            r = reference.values[lo:hi]
             wn = float(np.linalg.norm(w))
-            rn = float(np.linalg.norm(r))
-            if wn < EPS_ZERO or rn < EPS_ZERO:
+            if wn < EPS_ZERO:
                 continue
             cos = float(np.dot(w, r)) / (wn * rn)
             # d/dw of (1 - cos(w, r))

@@ -23,6 +23,7 @@ from .params import (
     cosine_distance_rows,
     gram_cosine_distances,
     pairwise_distance_matrix,
+    row_dots,
 )
 
 # At 20-client scale a coordinated minority can be as small as 3-4
@@ -159,6 +160,7 @@ def coarse_cluster(
     updates: Sequence[ClientUpdate],
     critical_layers: Sequence[str],
     min_samples: int = DEFAULT_MIN_SAMPLES,
+    features: np.ndarray | None = None,
 ) -> tuple[frozenset[int], frozenset[int], np.ndarray, bool]:
     """Cluster the critical-layer deltas; the largest cluster is accepted
     as the coarse trusted set when it carries a strict majority.
@@ -174,13 +176,17 @@ def coarse_cluster(
     COARSE_SELECTION_EPSILON are suppressed, which stops local
     sub-structure inside the honest mass from fragmenting it below the
     majority threshold.
+
+    ``features``, when given, is ``_critical_features(updates,
+    critical_layers)`` already built by the caller.
     """
     if not critical_layers:
         raise ValueError("empty critical layer set")
     n = len(updates)
     ids = [u.client_id for u in updates]
-    feats = _critical_features(updates, critical_layers)
-    D = pairwise_distance_matrix(feats, metric="euclidean")
+    if features is None:
+        features = _critical_features(updates, critical_layers)
+    D = pairwise_distance_matrix(features, metric="euclidean")
     ms = min(min_samples, n - 1)
     result = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
                      selection_epsilon=COARSE_SELECTION_EPSILON)
@@ -223,20 +229,18 @@ def alignment_scores(
         raise ValueError("total sample count must be positive")
     omega = counts / counts.sum()
     W = np.stack([u.model.restricted(rescue_layers) for u in updates])
-    g_ref = global_model.restricted(rescue_layers)
-    G = W - g_ref
     w_star = omega @ W
-    g_star = omega @ G
+    g_star = omega @ (W - global_model.restricted(rescue_layers))
     g_norm = float(np.linalg.norm(g_star))
-    out: dict[int, float] = {}
-    for u, w in zip(updates, W):
-        diff = w - w_star
-        d_norm = float(np.linalg.norm(diff))
-        if d_norm < EPS_ZERO or g_norm < EPS_ZERO:
-            out[u.client_id] = 0.0
-        else:
-            out[u.client_id] = float(np.dot(diff, g_star)) / (d_norm * g_norm)
-    return out
+    # each client's deviation from w_star, in place, since Stage 1's
+    # features are still held while this stage runs
+    diff = np.subtract(W, w_star, out=W)
+    # the dots np.linalg.norm and np.dot take for one client, per row
+    d_norms = np.sqrt(row_dots(diff, diff))
+    degenerate = (d_norms < EPS_ZERO) | (g_norm < EPS_ZERO)
+    scores = np.divide(row_dots(diff, g_star), d_norms * g_norm,
+                       out=np.zeros(len(updates)), where=~degenerate)
+    return dict(zip((u.client_id for u in updates), scores.tolist()))
 
 
 def update_memory(mem: ScoreMemory, raw: Mapping[int, float]) -> ScoreMemory:
@@ -406,7 +410,9 @@ def fedsurrogate_round(
     # Stage 1
     divergences = layer_divergence(updates)
     critical, degenerate_lca = select_critical_layers(divergences, lca_cfg)
-    coarse, suspects, D, degenerate_cluster = coarse_cluster(updates, critical, min_samples)
+    features = _critical_features(updates, critical)
+    coarse, suspects, D, degenerate_cluster = coarse_cluster(
+        updates, critical, min_samples, features=features)
 
     # Stage 2 (memory update precedes screening)
     if variant == "stage1":
@@ -442,7 +448,7 @@ def fedsurrogate_round(
         if donor_metric == "cosine":
             rows = [index_of[cid] for cid in sorted(flagged)]
             donor_D = np.full(D.shape, np.nan)
-            donor_D[rows] = cosine_distance_rows(_critical_features(updates, critical), rows)
+            donor_D[rows] = cosine_distance_rows(features, rows)
         for cid in sorted(flagged):
             donor = select_donor(cid, trusted, donor_D, index_of)
             donors[cid] = donor

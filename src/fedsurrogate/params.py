@@ -6,9 +6,11 @@ can be shared across threads without copies.
 """
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -173,55 +175,106 @@ def gram_cosine_distances(G: np.ndarray) -> np.ndarray:
     return _cosine_from_gram(G, np.diag(G), np.arange(len(G)))
 
 
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A[k] . B[k] for every row k (B may be one row, shared). Each is a
     BLAS dot of its own, the sum ``np.dot`` and ``np.linalg.norm`` form
     for one pair, so equal inputs give equal bits wherever they sit."""
     return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
 
 
-def _pairwise_gram(X: np.ndarray) -> np.ndarray:
-    """X @ X.T with each entry a dot of its own, one row at a time."""
-    n = len(X)
-    G = np.zeros((n, n))
-    for i in range(n):
-        G[i, i:] = _row_dots(X[i:], X[i])
-    return G + np.triu(G, 1).T
-
-
-# Rows of X[j] - X[i] held at once by the euclidean difference buffer.
+# Rows held at once by each geometry buffer, and the fewest matrix rows
+# per geometry thread.
 EUCLIDEAN_BLOCK_ROWS = 32
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split_rows(
+    fill: Callable[[slice, np.ndarray], None], count: int, n: int, width: int
+) -> None:
+    """Run ``fill(slice(k, count, w), buf)`` for k < w: output rows k,
+    k + w, ... of ``count``, and a scratch buffer of
+    min(EUCLIDEAN_BLOCK_ROWS, count) rows of ``width`` for that part
+    alone. w is the number of CPUs this process may use, at most one
+    per EUCLIDEAN_BLOCK_ROWS rows of the n-row matrix and one per output
+    row. With w = 1 (always when n <= EUCLIDEAN_BLOCK_ROWS) ``fill``
+    runs on the calling thread; otherwise each part runs on a thread of
+    its own. The parts overlap where numpy releases the GIL: in
+    ``np.subtract`` and in a matmul of more than 500 stacked products.
+
+    Each ``fill`` writes only its own output rows, with the same numpy
+    calls on the same operands whatever part it runs in, so the result
+    is bit for bit the same for every w. The buffers are allocated here,
+    and a part should allocate nothing large: memory a thread allocates
+    comes from a malloc arena of that thread's own, which keeps it after
+    the part ends. Each part runs in a copy of the caller's context,
+    which carries ``np.errstate``, and a part's exception is raised
+    here."""
+    w = max(1, min(_cpu_count(), -(-n // EUCLIDEAN_BLOCK_ROWS), count))
+    bufs = np.empty((w, min(EUCLIDEAN_BLOCK_ROWS, count), width))
+    if w == 1:
+        fill(slice(0, count), bufs[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not imported by small runs
+
+    with ThreadPoolExecutor(w) as pool:
+        parts = [pool.submit(contextvars.copy_context().run, fill, slice(k, count, w), bufs[k])
+                 for k in range(w)]
+    for part in parts:
+        part.result()
 
 
 def _euclidean_distances(X: np.ndarray) -> np.ndarray:
     """|x_i - x_j| from explicit differences, at most
     EUCLIDEAN_BLOCK_ROWS rows at a time. The expansion
     |a|^2 + |b|^2 - 2 a.b would cancel for close pairs, which are the
-    ones the clustering's selection radius compares."""
+    ones the clustering's selection radius compares. Row i of the upper
+    triangle goes to part i mod w of ``_split_rows``, which balances the
+    parts' shares of the triangle."""
     n, width = X.shape
     D = np.zeros((n, n))
-    buf = np.empty((min(EUCLIDEAN_BLOCK_ROWS, n - 1), width))
-    for i in range(n - 1):
-        for lo in range(i + 1, n, EUCLIDEAN_BLOCK_ROWS):
-            hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
-            diff = np.subtract(X[lo:hi], X[i], out=buf[: hi - lo])
-            D[i, lo:hi] = np.sqrt(_row_dots(diff, diff))
+
+    def fill(part: slice, buf: np.ndarray) -> None:
+        for i in range(n - 1)[part]:
+            for lo in range(i + 1, n, EUCLIDEAN_BLOCK_ROWS):
+                hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
+                diff = np.subtract(X[lo:hi], X[i], out=buf[: hi - lo])
+                D[i, lo:hi] = np.sqrt(row_dots(diff, diff))
+
+    _split_rows(fill, n - 1, n, width)
     return D + D.T
 
 
 def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """The rows ``rows`` of ``pairwise_distance_matrix(X, "cosine")``,
-    bit for bit, from len(rows) rows of dots instead of n / 2: each
-    entry is the same BLAS dot, its operands in the same order."""
+    """The rows ``rows`` of ``pairwise_distance_matrix(X, "cosine")``.
+    Entry (i, j) is the BLAS dot X[j] . X[i], which has the bits of
+    X[i] . X[j]: each product commutes exactly and the sum runs in the
+    same order. So the matrix is symmetric and identical rows tie
+    exactly, whichever rows are asked for. The rows are split over
+    threads as ``_split_rows`` describes; each gathers up to
+    EUCLIDEAN_BLOCK_ROWS of its rows of X at a time and takes their dots
+    with every row of X in one stacked matmul, because numpy releases
+    the GIL only in a matmul of more than 500 stacked products."""
     X = np.asarray(X, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.intp)
     G = np.empty((len(rows), len(X)))
-    for g, i in zip(G, rows):
-        # _pairwise_gram forms G[i, j] as X[j] . X[i] for j >= i and as
-        # X[i] . X[j] below the diagonal
-        g[i:] = _row_dots(X[i:], X[i])
-        g[:i] = _row_dots(np.broadcast_to(X[i], (i, X.shape[1])), X[:i])
-    return _cosine_from_gram(G, _row_dots(X, X), rows)
+
+    def fill(part: slice, buf: np.ndarray) -> None:
+        mine, out = rows[part], G[part, :, None, None]
+        for lo in range(0, len(mine), EUCLIDEAN_BLOCK_ROWS):
+            hi = min(lo + EUCLIDEAN_BLOCK_ROWS, len(mine))
+            # mode "raise" would write a temporary copy, not ``buf``
+            picked = np.take(X, mine[lo:hi], axis=0, out=buf[: hi - lo], mode="wrap")
+            np.matmul(X[None, :, None, :], picked[:, None, :, None], out=out[lo:hi])
+
+    _split_rows(fill, len(rows), len(X), X.shape[1])
+    return _cosine_from_gram(G, row_dots(X, X), rows)
 
 
 def pairwise_distance_matrix(
@@ -246,7 +299,7 @@ def pairwise_distance_matrix(
     if len(X) < 2:
         raise ValueError("need at least two vectors")
     if metric == "cosine":
-        return gram_cosine_distances(_pairwise_gram(X))
+        return cosine_distance_rows(X, range(len(X)))
     if metric == "euclidean":
         return _euclidean_distances(X)
     raise ValueError(f"unknown metric {metric!r}")

@@ -369,3 +369,42 @@ class TestCriterion10:
             f"{a == c} ({len(a)} bytes)",
         )
         assert ok
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs to compare with one",
+    )
+    def test_determinism_across_cpu_counts(self, tmp_path):
+        """At n=40 the distance matrices are split over two threads, or
+        computed on one when the process is pinned to one CPU; the CSV
+        bytes must not depend on it."""
+        flags = [
+            "run", "--rounds", "3", "--n-clients", "40", "--warmup-epochs", "2",
+            "--dataset-per-class", "160", "--dataset-test-per-class", "20",
+            "--seed", "3",
+        ]
+        child = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from fedsurrogate import cli, params\n"
+            "print('cpus', params._cpu_count())\n"
+            "raise SystemExit(cli.main(sys.argv[2:]))\n"
+        )
+
+        def run_cli(out_dir, pin):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       MKL_NUM_THREADS="1", FEDSURROGATE_OUTPUT_DIR=str(out_dir))
+            out_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", child, pin, *flags],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            (path,) = out_dir.glob("run_*.csv")
+            return int(proc.stdout.split()[1]), path.read_bytes()
+
+        pinned_cpus, pinned = run_cli(tmp_path / "pinned", "pin")
+        free_cpus, free = run_cli(tmp_path / "free", "free")
+        assert pinned_cpus == 1 and free_cpus >= 2
+        assert pinned == free

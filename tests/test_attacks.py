@@ -3,6 +3,8 @@ import pytest
 
 from fedsurrogate.attacks import (
     AttackConfig,
+    _boost,
+    _malicious_cfg,
     cba_train,
     cla_compose,
     cla_train,
@@ -11,9 +13,9 @@ from fedsurrogate.attacks import (
     neurotoxin_mask,
     neurotoxin_train,
 )
-from fedsurrogate.data import corner_patch_trigger, generate_synthetic
+from fedsurrogate.data import corner_patch_trigger, generate_synthetic, poison_partition
 from fedsurrogate.model import MlpArchitecture, TrainConfig, init_model, local_train
-from fedsurrogate.params import cosine_distance
+from fedsurrogate.params import EPS_ZERO, ParameterVector, cosine_distance
 
 
 ARCH = MlpArchitecture((64, 8, 4))
@@ -126,6 +128,59 @@ class TestCsa:
             return float(np.mean(ds))
 
         assert mean_layer_cos(pulled) > mean_layer_cos(plain)
+
+
+def csa_train_reference(arch, global_model, shard, trigger, cfg, attack):
+    """``csa_train`` with the penalty it used to build, which looked up
+    every layer's bounds and took the reference norms at every step."""
+    reference = local_train(arch, global_model, shard, cfg)
+    poisoned = poison_partition(shard, attack.poison_rate, trigger,
+                                fragment_index=None, seed=cfg.seed)
+    schema = arch.schema()
+    lam = attack.csa_lambda
+
+    def penalty_grad(params):
+        grad = np.zeros_like(params)
+        for name in schema.names:
+            lo, hi = schema.bounds(name)
+            w = params[lo:hi]
+            r = reference.values[lo:hi]
+            wn = float(np.linalg.norm(w))
+            rn = float(np.linalg.norm(r))
+            if wn < EPS_ZERO or rn < EPS_ZERO:
+                continue
+            cos = float(np.dot(w, r)) / (wn * rn)
+            grad[lo:hi] = lam * (cos * w / wn**2 - r / (wn * rn))
+        return grad
+
+    trained = local_train(arch, global_model, poisoned,
+                          _malicious_cfg(cfg, attack), extra_grad=penalty_grad)
+    return _boost(global_model, trained, attack.boost)
+
+
+class TestCsaOracle:
+    @pytest.mark.parametrize("seed", range(14))
+    def test_equals_per_step_penalty(self, seed):
+        """Seeded shards of 1-60 rows. Seeds 0 mod 4 start from a model
+        whose last layer is zero with a learning rate of 1e-20, so that
+        layer's reference and working norms stay degenerate."""
+        rng = np.random.default_rng(seed)
+        shard = DS.subset(rng.choice(len(DS.labels), size=int(rng.integers(1, 61)), replace=False))
+        start = init_model(ARCH, seed)
+        lr = 0.05
+        if seed % 4 == 0:
+            values = start.values.copy()
+            lo, hi = start.schema.bounds(start.schema.names[-1])
+            values[lo:hi] = 0.0
+            start, lr = ParameterVector(values, start.schema), 1e-20
+        cfg = TrainConfig(epochs=int(rng.integers(1, 3)), learning_rate=lr,
+                          batch_size=int(rng.integers(4, 33)), seed=seed)
+        attack = AttackConfig(malicious_epochs=int(rng.integers(1, 4)),
+                              csa_lambda=float(rng.choice([0.0, 0.5, 1.0, 4.0])),
+                              boost=float(rng.choice([1.0, 5.0])))
+        got = csa_train(ARCH, start, shard, TRIGGER, cfg, attack)
+        want = csa_train_reference(ARCH, start, shard, TRIGGER, cfg, attack)
+        assert np.array_equal(got.values, want.values)
 
 
 class TestCla:

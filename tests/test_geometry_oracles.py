@@ -1,26 +1,38 @@
 """The vectorised defense geometry against the scalar loops it replaced.
 
-The oracles below are the per-pair loops that ``layer_divergence``,
-``pairwise_distance_matrix`` and ``select_donor`` used to run. Inputs
-include zero-norm rows, identical rows and n = 2, and every comparison
-runs with numpy floating-point warnings raised as errors.
+The oracles below are the per-pair and per-client loops that
+``layer_divergence``, ``pairwise_distance_matrix``, ``select_donor`` and
+``alignment_scores`` used to run. Inputs include zero-norm rows,
+identical rows and n = 2, and every comparison runs with numpy
+floating-point warnings raised as errors. Matrices of more than
+``EUCLIDEAN_BLOCK_ROWS`` rows are split over threads; those tests force
+the CPU count the split reads.
 """
+import concurrent.futures
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from fedsurrogate import params
 from fedsurrogate.defense import (
     AggregationWeights,
     FilterConfig,
     LcaConfig,
     ScoreMemory,
+    alignment_scores,
     fedsurrogate_round,
     layer_divergence,
     select_donor,
 )
 from fedsurrogate.params import (
+    EPS_ZERO,
+    EUCLIDEAN_BLOCK_ROWS,
     ClientUpdate,
     LayerSchema,
     ParameterVector,
+    compute_update,
     cosine_distance,
     cosine_distance_rows,
     pairwise_distance_matrix,
@@ -69,11 +81,13 @@ def donor_oracle(flagged, trusted, features, metric):
     return best_id
 
 
-def random_rows(seed, width, scaled=True):
-    """2-14 random rows; some are zero, some repeat an earlier row and,
-    with ``scaled``, some repeat it scaled (cosine 0, euclidean not)."""
+def random_rows(seed, width, scaled=True, n=None):
+    """``n`` random rows, or 2-14 when n is None; some are zero, some
+    repeat an earlier row and, with ``scaled``, some repeat it scaled
+    (cosine 0, euclidean not)."""
     rng = np.random.default_rng(seed)
-    n = 2 if seed % 5 == 0 else int(rng.integers(3, 15))
+    if n is None:
+        n = 2 if seed % 5 == 0 else int(rng.integers(3, 15))
     X = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 3)
     for i in range(1, n):
         kind = rng.integers(0, 5)
@@ -216,3 +230,161 @@ def test_round_donors_equal_full_matrix_donors_on_ties(seed):
     assert outcome.donors == want
     pool = sorted(outcome.trusted)
     assert any(np.sum(D[c, pool] == D[c, pool].min()) > 1 for c in outcome.donors)
+
+
+# ---------------------------------------------------------------------------
+# The row split over threads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Records the max_workers of every thread pool the geometry makes."""
+    made = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers):
+        made.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [33, 64, 97])
+def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, cpus, monkeypatch, pools):
+    monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
+    X = random_rows(n * 10 + cpus, 37, n=n)
+    rows = sorted(np.random.default_rng(n).choice(n, size=n // 2, replace=False))
+    with np.errstate(all="raise"):
+        euclidean = pairwise_distance_matrix(X, "euclidean")
+        cosine = pairwise_distance_matrix(X, "cosine")
+        cosine_rows = cosine_distance_rows(X, rows)
+        want_euclidean = distance_matrix_oracle(list(X), "euclidean")
+        want_cosine = distance_matrix_oracle(list(X), "cosine")
+    assert np.array_equal(euclidean, want_euclidean)
+    assert np.array_equal(cosine, want_cosine)
+    assert np.array_equal(cosine_rows, want_cosine[rows])
+    workers = min(cpus, -(-n // EUCLIDEAN_BLOCK_ROWS))
+    assert pools == ([] if workers == 1 else [workers] * 3)
+
+
+def test_split_equals_serial_under_thread_contention(monkeypatch, pools):
+    """More threads than cores, switching as often as the interpreter
+    allows: parts that shared a buffer or an output row would differ."""
+    X = random_rows(5, 37 * 8, n=200)
+    rows = list(range(0, 200, 3))
+    monkeypatch.setattr(params, "_cpu_count", lambda: 1)
+    serial = [pairwise_distance_matrix(X, "euclidean"), cosine_distance_rows(X, rows)]
+    monkeypatch.setattr(params, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(pairwise_distance_matrix(X, "euclidean"), serial[0])
+            assert np.array_equal(cosine_distance_rows(X, rows), serial[1])
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [7, 7] * 3
+
+
+def test_small_matrices_make_no_pool(monkeypatch, pools):
+    monkeypatch.setattr(params, "_cpu_count", lambda: 4)
+    X = random_rows(0, 37, n=EUCLIDEAN_BLOCK_ROWS)
+    pairwise_distance_matrix(X, "euclidean")
+    pairwise_distance_matrix(X, "cosine")
+    cosine_distance_rows(X, range(EUCLIDEAN_BLOCK_ROWS))
+    assert pools == []
+    pairwise_distance_matrix(np.vstack([X, X[:1]]), "euclidean")
+    assert pools == [2]
+
+
+def test_small_matrices_do_not_import_the_thread_pool():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fedsurrogate import cli, harness, params\n"
+        "params._cpu_count = lambda: 4\n"
+        "X = np.random.default_rng(0).standard_normal((32, 9))\n"
+        "params.pairwise_distance_matrix(X, 'euclidean')\n"
+        "params.cosine_distance_rows(X, range(32))\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("which", ["euclidean", "cosine_rows"])
+def test_overflow_in_a_worker_raises(which, monkeypatch, pools):
+    monkeypatch.setattr(params, "_cpu_count", lambda: 2)
+    X = np.random.default_rng(1).uniform(0.5, 1.0, (40, 5)) * 1e200
+    X[1::2] *= -1.0
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError) as raised:
+        if which == "euclidean":
+            pairwise_distance_matrix(X, "euclidean")
+        else:
+            cosine_distance_rows(X, range(40))
+    assert pools == [2]
+    assert any(entry.name == "fill" for entry in raised.traceback)
+
+
+# ---------------------------------------------------------------------------
+# Stage 2 alignment scores
+# ---------------------------------------------------------------------------
+
+def alignment_oracle(updates, global_model, rescue_layers):
+    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
+    omega = counts / counts.sum()
+    W = np.stack([u.model.restricted(rescue_layers) for u in updates])
+    G = W - global_model.restricted(rescue_layers)
+    w_star = omega @ W
+    g_star = omega @ G
+    g_norm = float(np.linalg.norm(g_star))
+    out = {}
+    for u, w in zip(updates, W):
+        diff = w - w_star
+        d_norm = float(np.linalg.norm(diff))
+        if d_norm < EPS_ZERO or g_norm < EPS_ZERO:
+            out[u.client_id] = 0.0
+        else:
+            out[u.client_id] = float(np.dot(diff, g_star)) / (d_norm * g_norm)
+    return out
+
+
+def alignment_round(seed):
+    """Clients with random sample counts. Every fourth seed gives four
+    clients equal counts and small-integer models c - d, c + d, c, c,
+    so the weighted mean is c exactly and two rows deviate by zero;
+    every fourth seed puts every model at the global model."""
+    rng = np.random.default_rng(seed)
+    g = ParameterVector(rng.standard_normal(SCHEMA.total_length), SCHEMA)
+    if seed % 4 == 0:
+        c = rng.integers(-8, 8, SCHEMA.total_length).astype(float)
+        d = rng.integers(-8, 8, SCHEMA.total_length).astype(float)
+        models, counts = [c - d, c + d, c, c], [5, 5, 5, 5]
+    elif seed % 4 == 1:
+        models = [g.values] * int(rng.integers(2, 9))
+        counts = rng.integers(1, 50, len(models))
+    else:
+        models = list(random_rows(seed, SCHEMA.total_length))
+        counts = rng.integers(1, 50, len(models))
+    updates = [
+        compute_update(ParameterVector(m, SCHEMA), g, client_id=10 + i, sample_count=int(k))
+        for i, (m, k) in enumerate(zip(models, counts))
+    ]
+    return updates, g
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_alignment_scores_equal_oracle_bit_for_bit(seed):
+    updates, g = alignment_round(seed)
+    layers = ("fc2", "fc3") if seed % 2 else ("fc1", "out")
+    with np.errstate(all="raise"):
+        got = alignment_scores(updates, g, layers)
+        want = alignment_oracle(updates, g, layers)
+    assert list(got) == list(want)
+    assert all(type(v) is float for v in got.values())
+    assert np.array_equal(list(got.values()), list(want.values()))
+    if seed % 4 == 0:
+        assert got[12] == got[13] == 0.0

@@ -93,14 +93,19 @@ def _single_linkage(MR: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]
     max(u, v)), a strict total order, under which the spanning tree is
     unique; replaying its edges in key order through union-find gives
     exactly the merges of Kruskal's algorithm over every edge.
+
+    ``MR`` is overwritten: its lower triangle becomes a copy of its
+    upper one, so a near-symmetric input (as ``_check_matrix`` admits)
+    is read as its upper triangle. Each Prim row's endpoint keys are
+    formed as the row is read, so no other n x n array is made.
     """
     n = len(MR)
-    upper = np.triu(MR, 1)
-    W = upper + upper.T
+    for i in range(1, n):
+        MR[i, :i] = MR[:i, i]
     nodes = np.arange(n)
-    K = np.minimum.outer(nodes, nodes) * n + np.maximum.outer(nodes, nodes)
-    # lightest edge from each node to the tree, as weight and endpoint key
-    best_w, best_key = W[0].copy(), K[0].copy()
+    # lightest edge from each node to the tree, as weight and endpoint
+    # key min(u, v) * n + max(u, v); node 0 starts the tree
+    best_w, best_key = MR[0].copy(), nodes.copy()
     done = np.zeros(n, dtype=bool)
     done[0] = True
     edge_w, edge_lo, edge_hi = [], [], []
@@ -113,9 +118,11 @@ def _single_linkage(MR: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]
         edge_hi.append(int(best_key[v]) % n)
         done[v] = True
         # entries of nodes already done go stale; they are never read again
-        better = (W[v] < best_w) | ((W[v] == best_w) & (K[v] < best_key))
-        np.copyto(best_w, W[v], where=better)
-        np.copyto(best_key, K[v], where=better)
+        row = MR[v]
+        key = np.minimum(nodes, v) * n + np.maximum(nodes, v)
+        better = (row < best_w) | ((row == best_w) & (key < best_key))
+        np.copyto(best_w, row, where=better)
+        np.copyto(best_key, key, where=better)
     order = np.lexsort((edge_hi, edge_lo, edge_w))
 
     parent = list(range(2 * n - 1))

@@ -123,7 +123,7 @@ def layer_divergence(updates: Sequence[ClientUpdate]) -> dict[str, float]:
     if len(updates) < 2:
         raise ValueError("need at least two updates")
     n = len(updates)
-    X = np.stack([u.delta.values for u in updates])
+    X = round_matrix(updates)
     out: dict[str, float] = {}
     for name, lo, length in updates[0].delta.schema.layers:
         cols = X[:, lo:lo + length]  # a strided view: BLAS reads it in place
@@ -200,17 +200,52 @@ def coarse_cluster(
     return frozenset(ids), frozenset(), D, True
 
 
+def round_matrix(updates: Sequence[ClientUpdate]) -> np.ndarray:
+    """The clients' deltas as the rows of one (n, P) array, which the
+    caller must not write to. When the deltas are already the
+    consecutive rows, in order, of one read-only matrix, as
+    ``harness.run_experiment`` builds each round through
+    ``compute_update``'s ``out``, that matrix is returned without a
+    copy; otherwise the deltas are stacked into a new one."""
+    first = updates[0].delta.values
+    M = first.base
+    if (isinstance(M, np.ndarray) and not M.flags.writeable and M.flags.c_contiguous
+            and M.shape == (len(updates), first.size) and M.dtype == np.float64):
+        start, step = M.__array_interface__["data"][0], M.strides[0]
+        if all(u.delta.values.base is M
+               and u.delta.values.__array_interface__["data"][0] == start + i * step
+               for i, u in enumerate(updates)):
+            return M
+    return np.stack([u.delta.values for u in updates])
+
+
+def _layer_rows(
+    vectors: Sequence[ParameterVector], names: Sequence[str], out: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, width) array, ``out`` if given, whose row k holds the given
+    layers of ``vectors[k]``, in the order given: one column block per
+    layer, copied straight from the vectors, so no per-client copy is
+    made."""
+    spans = [vectors[0].schema.bounds(name) for name in names]
+    if out is None:
+        out = np.empty((len(vectors), sum(hi - lo for lo, hi in spans)))
+    col = 0
+    for lo, hi in spans:
+        np.stack([v.values[lo:hi] for v in vectors], out=out[:, col:col + hi - lo])
+        col += hi - lo
+    return out
+
+
 def _critical_features(
     updates: Sequence[ClientUpdate], critical_layers: Sequence[str]
 ) -> np.ndarray:
     """(n, width) array of the clients' critical-layer deltas, in the
-    order given, filled row by row so no list of row copies is held."""
-    schema = updates[0].delta.schema
-    width = sum(hi - lo for lo, hi in map(schema.bounds, critical_layers))
-    F = np.empty((len(updates), width))
-    for row, u in zip(F, updates):
-        row[:] = u.delta.restricted(critical_layers)
-    return F
+    order given. When that is every layer in schema order (the default
+    three-layer MLP at top_k = 5) it is the round's delta matrix itself
+    (``round_matrix``), read in place; a strict subset is copied."""
+    if tuple(critical_layers) == updates[0].delta.schema.names:
+        return round_matrix(updates)
+    return _layer_rows([u.delta for u in updates], critical_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +263,15 @@ def alignment_scores(
     if counts.sum() <= 0:
         raise ValueError("total sample count must be positive")
     omega = counts / counts.sum()
-    W = np.stack([u.model.restricted(rescue_layers) for u in updates])
+    models = [u.model for u in updates]
+    W = _layer_rows(models, rescue_layers)
     w_star = omega @ W
-    g_star = omega @ (W - global_model.restricted(rescue_layers))
+    # the clients' steps W - global, then each client's deviation from
+    # w_star, are each written over W (refilled in between), so the
+    # stage holds one (n, width) array while Stage 1's features are held
+    g_star = omega @ np.subtract(W, global_model.restricted(rescue_layers), out=W)
     g_norm = float(np.linalg.norm(g_star))
-    # each client's deviation from w_star, in place, since Stage 1's
-    # features are still held while this stage runs
-    diff = np.subtract(W, w_star, out=W)
+    diff = np.subtract(_layer_rows(models, rescue_layers, out=W), w_star, out=W)
     # the dots np.linalg.norm and np.dot take for one client, per row
     d_norms = np.sqrt(row_dots(diff, diff))
     degenerate = (d_norms < EPS_ZERO) | (g_norm < EPS_ZERO)

@@ -341,16 +341,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             stacklevel=2,
         )
     train, test, warm = _load_datasets(cfg)
-    trigger = _make_trigger(cfg, train.dim)
     plan = dirichlet_partition(
         train, cfg.n_clients, cfg.alpha, seed=_derive_seed(cfg.seed, _PART_TAG)
     )
     shards = [train.subset(idx) for idx in plan.client_indices]
+    dims = (train.dim, *cfg.hidden_dims, train.num_classes)
+    del train, plan  # the shards hold copies of every sample they need
+    trigger = _make_trigger(cfg, dims[0])
     roles = {
         cid: (Role.MALICIOUS if cid < n_mal else Role.BENIGN)
         for cid in range(cfg.n_clients)
     }
-    arch = MlpArchitecture((train.dim, *cfg.hidden_dims, train.num_classes))
+    arch = MlpArchitecture(dims)
     global_model = init_model(arch, seed=_derive_seed(cfg.seed, _INIT_TAG))
     if cfg.warmup_epochs:
         global_model = local_train(
@@ -365,6 +367,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     prev_delta: np.ndarray | None = None
     records: list[RoundRecord] = []
     for rnd in range(cfg.rounds):
+        # the round's deltas, one row per client, read in place by the
+        # defense (defense.round_matrix) once made read-only
+        deltas = np.empty((cfg.n_clients, global_model.schema.total_length))
         updates: list[ClientUpdate] = []
         attacker_index = 0
         for cid in range(cfg.n_clients):
@@ -377,8 +382,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 attacker_index += 1
             updates.append(
                 compute_update(model, global_model, client_id=cid,
-                               sample_count=len(shards[cid]), true_role=roles[cid])
+                               sample_count=len(shards[cid]), true_role=roles[cid],
+                               out=deltas[cid])
             )
+        deltas.flags.writeable = False
         before = global_model.values
         if cfg.defense == "fedsurrogate":
             global_model, outcome, mem = fedsurrogate_round(
@@ -390,6 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             n_rescued = len(outcome.rescued)
             degenerate = outcome.degenerate
             critical = outcome.critical_layers
+            del outcome  # its n x n distance matrix is not needed next round
         else:
             global_model = fedavg_aggregate(
                 {u.client_id: u.model for u in updates},
@@ -409,6 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 critical_layers=critical,
             )
         )
+        del updates, deltas, model  # freed before the next round allocates its own
     tpr, fpr = rates(tally)
     return RunReport(
         config=cfg,

@@ -311,9 +311,26 @@ def compute_update(
     client_id: int = 0,
     sample_count: int = 1,
     true_role: Role = Role.BENIGN,
+    out: np.ndarray | None = None,
 ) -> ClientUpdate:
-    """Client delta = model - global, packaged with metadata."""
+    """Client delta = model - global, packaged with metadata.
+
+    ``out``, when given, is a writeable C-contiguous float64 array of the
+    schema's length, typically one row of a round's (n, P) delta matrix.
+    The delta is written into it and ``delta.values`` is a read-only
+    view of it, not a copy. The caller must not write to ``out`` again;
+    making the whole matrix read-only once every row is filled (as
+    ``harness.run_experiment`` does) keeps the delta frozen, and lets
+    the defense read the matrix in place (``defense.round_matrix``)."""
     if model.schema != global_model.schema:
         raise SchemaError("model and global schemas differ")
-    delta = ParameterVector(model.values - global_model.values, model.schema)
+    if out is None:
+        values = model.values - global_model.values
+    else:
+        if (out.shape != model.values.shape or out.dtype != np.float64
+                or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ValueError("out must be a writeable contiguous float64 row of the schema's length")
+        values = np.subtract(model.values, global_model.values, out=out).view()
+        values.flags.writeable = False
+    delta = ParameterVector(values, model.schema)
     return ClientUpdate(client_id, delta, model, sample_count, true_role)

@@ -179,3 +179,13 @@ class TestPrimTies:
         mcs = int(rng.integers(2, max(3, n // 3)))
         eps = float(rng.choice([0.0, 1.5, 2.5]))
         assert hdbscan(D, mcs, ms, eps).labels == hdbscan_reference(D, mcs, ms, eps).labels
+
+
+def test_single_linkage_reads_the_upper_triangle_of_a_near_symmetric_matrix():
+    D, _ = tie_heavy_matrix(3)
+    MR = mutual_reachability(D, 2)
+    want = merge_sequence(len(MR), *_single_linkage(MR.copy()))
+    rng = np.random.default_rng(0)
+    skewed = MR + np.tril(rng.uniform(-1e-10, 1e-10, MR.shape), -1)
+    assert merge_sequence(len(MR), *_single_linkage(skewed)) == want
+    assert np.array_equal(skewed, MR)   # the lower triangle became the upper's copy

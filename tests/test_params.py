@@ -100,6 +100,31 @@ class TestComputeUpdate:
         with pytest.raises((ValueError, SchemaError)):
             compute_update(a, b)
 
+    def test_out_row_holds_the_delta_as_a_read_only_view(self):
+        s = LayerSchema.from_lengths([("a", 2), ("b", 1)])
+        theta_g = ParameterVector(np.array([1.0, 2.0, 0.5]), s)
+        M = np.full((2, 3), np.nan)
+        u = compute_update(ParameterVector(np.array([3.0, 3.0, 0.25]), s), theta_g, out=M[1])
+        assert M[1].tolist() == [2.0, 1.0, -0.25] and np.isnan(M[0]).all()
+        assert u.delta.values.base is M and np.shares_memory(u.delta.values, M[1])
+        assert not u.delta.values.flags.writeable
+        M.flags.writeable = False
+        with pytest.raises(ValueError):
+            u.delta.values.flags.writeable = True
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(2), np.zeros(3, dtype=np.float32), np.zeros((3, 2))[:, 0], np.zeros((1, 3)),
+    ])
+    def test_out_of_the_wrong_layout_is_rejected(self, bad):
+        s = LayerSchema.from_lengths([("a", 3)])
+        v = ParameterVector(np.zeros(3), s)
+        with pytest.raises(ValueError):
+            compute_update(v, v, out=bad)
+        frozen = np.zeros(3)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            compute_update(v, v, out=frozen)
+
     def test_nonpositive_count_rejected(self):
         s = LayerSchema.from_lengths([("a", 2)])
         v = ParameterVector(np.zeros(2), s)

@@ -1,0 +1,192 @@
+"""The round's deltas as one read-only (n, P) matrix.
+
+``harness.run_experiment`` writes every client's delta into a row of one
+matrix per round (``compute_update``'s ``out``), and the defense reads
+that matrix in place (``defense.round_matrix``) instead of stacking
+copies. These tests check the harness builds it so, that the defense
+gives the same bits from the matrix as from loose copies, and that a
+round over the matrix holds no (n, P) copy of it.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fedsurrogate import defense, harness, params
+from fedsurrogate.defense import (
+    AggregationWeights,
+    FilterConfig,
+    LcaConfig,
+    ScoreMemory,
+    fedsurrogate_round,
+    round_matrix,
+)
+from fedsurrogate.params import LayerSchema, ParameterVector, compute_update
+
+SCHEMA = LayerSchema.from_lengths([("fc1", 24), ("fc2", 9), ("fc3", 4)])
+
+
+def _capture_rounds(monkeypatch, cfg):
+    """Run ``cfg``; return (updates, global model) of every server step."""
+    seen = []
+    real = harness.fedsurrogate_round
+
+    def step(updates, global_model, *args, **kwargs):
+        seen.append((updates, global_model))
+        return real(updates, global_model, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fedsurrogate_round", step)
+    harness.run_experiment(cfg)
+    return seen
+
+
+def test_harness_deltas_are_read_only_views_of_one_read_only_matrix(monkeypatch):
+    cfg = harness.ExperimentConfig(
+        n_clients=6, rounds=2, warmup_epochs=1, seed=4,
+        dataset=harness.DatasetSpec(per_class=40, test_per_class=10))
+    rounds = _capture_rounds(monkeypatch, cfg)
+    assert len(rounds) == 2
+    matrices = []
+    for updates, global_model in rounds:
+        M = updates[0].delta.values.base
+        assert isinstance(M, np.ndarray) and M.shape == (6, updates[0].delta.schema.total_length)
+        assert not M.flags.writeable
+        for i, u in enumerate(updates):
+            assert u.delta.values.base is M
+            assert np.shares_memory(u.delta.values, M[i]) and not u.delta.values.flags.writeable
+            assert np.array_equal(u.delta.values, u.model.values - global_model.values)
+            with pytest.raises(ValueError):
+                u.delta.values.flags.writeable = True
+        assert round_matrix(updates) is M
+        matrices.append(M)
+    assert matrices[0] is not matrices[1]
+
+
+def test_round_matrix_stacks_whatever_is_not_its_rows_in_order():
+    rng = np.random.default_rng(0)
+    g = ParameterVector(np.zeros(SCHEMA.total_length), SCHEMA)
+    models = [ParameterVector(rng.standard_normal(SCHEMA.total_length), SCHEMA) for _ in range(4)]
+    M = np.empty((4, SCHEMA.total_length))
+    updates = [compute_update(m, g, client_id=i, out=M[i]) for i, m in enumerate(models)]
+    assert round_matrix(updates) is not M    # still writeable: not yet the round's
+    M.flags.writeable = False
+    assert round_matrix(updates) is M
+    loose = [compute_update(m, g, client_id=i) for i, m in enumerate(models)]
+    for other in (loose, updates[::-1], updates[:3], updates[1:], [updates[0], loose[1]]):
+        got = round_matrix(other)
+        assert got is not M and not np.shares_memory(got, M)
+        assert np.array_equal(got, np.stack([u.delta.values for u in other]))
+
+
+def _round(seed):
+    """A round with a benign majority and a minority of attackers that
+    share a direction and are boosted, as (global model, models, sample
+    counts)."""
+    rng = np.random.default_rng(seed)
+    P = SCHEMA.total_length
+    n = int(rng.integers(12, 30))
+    n_bad = int(rng.integers(2, n // 3))
+    g = ParameterVector(rng.standard_normal(P), SCHEMA)
+    honest = rng.standard_normal(P)
+    evil = rng.standard_normal(P)
+    deltas = [0.1 * honest + 0.03 * rng.standard_normal(P) for _ in range(n - n_bad)]
+    deltas += [0.4 * evil + 0.03 * rng.standard_normal(P) for _ in range(n_bad)]
+    order = rng.permutation(n)
+    models = [ParameterVector(g.values + deltas[k], SCHEMA) for k in order]
+    counts = rng.integers(5, 60, n).tolist()
+    return g, models, counts
+
+
+def _as_matrix(g, models, counts):
+    M = np.empty((len(models), SCHEMA.total_length))
+    updates = [compute_update(m, g, client_id=i, sample_count=c, out=M[i])
+               for i, (m, c) in enumerate(zip(models, counts))]
+    M.flags.writeable = False
+    return updates, M
+
+
+def _loose(g, models, counts):
+    return [compute_update(m, g, client_id=i, sample_count=c)
+            for i, (m, c) in enumerate(zip(models, counts))]
+
+
+OUTCOME_SETS = ("critical_layers", "coarse_trusted", "suspects", "demoted", "rescued",
+                "confirmed_malicious", "trusted", "donors", "degenerate")
+
+
+@pytest.mark.parametrize("variant", defense.VARIANTS)
+@pytest.mark.parametrize("top_k", [1, 2, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_round_is_the_same_from_the_matrix_and_from_loose_copies(seed, top_k, variant):
+    g, models, counts = _round(seed)
+    lca = LcaConfig(top_k=top_k)
+    filt = FilterConfig(rescue_layers=("fc2", "fc3"))
+    results = []
+    for updates in (_as_matrix(g, models, counts)[0], _loose(g, models, counts)):
+        mem, out = ScoreMemory(), []
+        # two rounds, so the second screens and rescues on carried memory
+        for _ in range(2):
+            new_global, outcome, mem = fedsurrogate_round(
+                updates, g, mem, lca, filt, AggregationWeights(), variant=variant)
+            out.append((new_global, outcome))
+        results.append((out, mem))
+    (matrix_rounds, matrix_mem), (loose_rounds, loose_mem) = results
+    for (a_global, a), (b_global, b) in zip(matrix_rounds, loose_rounds):
+        assert np.array_equal(a_global.values, b_global.values)
+        assert np.array_equal(a.distance_matrix, b.distance_matrix)
+        for name in OUTCOME_SETS:
+            assert getattr(a, name) == getattr(b, name), name
+        assert len(a.critical_layers) == min(top_k, 3)
+    assert matrix_mem == loose_mem
+    if variant in ("full", "no_rescue"):
+        assert matrix_rounds[0][1].donors   # Stage 3 ran: surrogates were built
+
+
+def test_the_default_round_reads_the_matrix_in_place(monkeypatch):
+    g, models, counts = _round(0)
+    updates, M = _as_matrix(g, models, counts)
+    seen = []
+    real = defense.pairwise_distance_matrix
+    monkeypatch.setattr(defense, "pairwise_distance_matrix",
+                        lambda X, metric: seen.append(X) or real(X, metric))
+    fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=5),
+                       FilterConfig(rescue_layers=("fc3",)), AggregationWeights())
+    assert seen and seen[0] is M
+    fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=2),
+                       FilterConfig(rescue_layers=("fc3",)), AggregationWeights())
+    assert seen[1] is not M and seen[1].shape == (len(models), 33)
+
+
+def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
+    """One server step of the default configuration at n = 64, over the
+    harness's round matrix, allocates less than half the matrix's bytes
+    above its entry, beyond the Euclidean distance matrix's scratch
+    block of EUCLIDEAN_BLOCK_ROWS rows, which is one per thread and
+    half the matrix by itself at n = 64 (pinned to one CPU here). A
+    step that stacked the deltas, or copied the critical-layer features
+    when every layer is critical, would hold a whole extra matrix."""
+    cfg = harness.ExperimentConfig(n_clients=64, rounds=1, warmup_epochs=1, seed=5)
+    args = []
+    real = harness.fedsurrogate_round
+
+    def step(*a, **k):
+        args.append((a, k))
+        return real(*a, **k)
+
+    monkeypatch.setattr(harness, "fedsurrogate_round", step)
+    harness.run_experiment(cfg)
+    (a, k), = args
+    updates = a[0]
+    n, P = len(updates), updates[0].delta.schema.total_length
+    assert round_matrix(updates) is updates[0].delta.values.base
+    monkeypatch.setattr(params, "_cpu_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        _, outcome, _ = real(*a, **k)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert outcome.critical_layers == updates[0].delta.schema.names
+    scratch = params.EUCLIDEAN_BLOCK_ROWS * P * 8
+    assert peak - scratch < 0.5 * n * P * 8

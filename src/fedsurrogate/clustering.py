@@ -45,18 +45,34 @@ class ClusterResult:
             raise ValueError("cluster_sizes inconsistent with labels")
 
 
+# Rows of D compared with their transposed columns at a time by
+# _check_matrix: a whole-matrix np.allclose(D, D.T) holds temporaries
+# of 2.2 times D.
+_CHECK_BLOCK_ROWS = 32
+
+
 def _check_matrix(D: np.ndarray) -> np.ndarray:
+    """D as a float64 array, once it is square and symmetric within
+    ``np.allclose(D, D.T, atol=1e-9)``, which is checked block by block
+    of rows: the test is elementwise, so the blocks accept exactly what
+    the whole matrix would."""
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("distance matrix must be square")
-    if not np.allclose(D, D.T, atol=1e-9):
-        raise ValueError("distance matrix must be symmetric")
+    for lo in range(0, len(D), _CHECK_BLOCK_ROWS):
+        hi = lo + _CHECK_BLOCK_ROWS
+        if not np.allclose(D[lo:hi], D[:, lo:hi].T, atol=1e-9):
+            raise ValueError("distance matrix must be symmetric")
     return D
 
 
 def core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to each point's min_samples-th nearest other point."""
-    D = _check_matrix(D)
+    return _core_distances(_check_matrix(D), min_samples)
+
+
+def _core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
+    """``core_distances`` of a matrix ``_check_matrix`` has accepted."""
     n = len(D)
     if not 1 <= min_samples < n:
         raise ValueError("need 1 <= min_samples < n")
@@ -69,11 +85,12 @@ def core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
 def mutual_reachability(D: np.ndarray, min_samples: int) -> np.ndarray:
     """MR(a, b) = max(core_a, core_b, D(a, b)), zero diagonal."""
     D = _check_matrix(D)
-    return _reachability(D, core_distances(D, min_samples))
+    return _reachability(D, _core_distances(D, min_samples))
 
 
 def _reachability(D: np.ndarray, core: np.ndarray) -> np.ndarray:
-    MR = np.maximum(D, np.maximum.outer(core, core))
+    MR = np.maximum.outer(core, core)
+    np.maximum(D, MR, out=MR)
     np.fill_diagonal(MR, 0.0)
     return MR
 
@@ -306,7 +323,7 @@ def hdbscan(
     if n < min_cluster_size:
         return ClusterResult(tuple([-1] * n), {})
 
-    core = core_distances(D, min_samples)
+    core = _core_distances(D, min_samples)
     children, dists = _single_linkage(_reachability(D, core))
     cparent, cbirth, pcluster, plambda, _pexit = _condense(
         n, children, dists, min_cluster_size, selection_epsilon

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import threading
 import time
 import typing
 import warnings
@@ -49,8 +50,10 @@ from .defense import (
     fedsurrogate_round,
 )
 from .metrics import DetectionTally, asr, main_task_accuracy, mcc, rates, tally_round
+from . import params
 from .model import MlpArchitecture, TrainConfig, init_model, local_train
 from .params import ClientUpdate, ParameterVector, Role, compute_update
+from .workers import RoundTrainers, assign_parts
 
 ATTACKS = ("none", "cba", "dba", "neurotoxin", "csa", "cla")
 DEFENSES = ("fedsurrogate", "fedavg")
@@ -330,8 +333,41 @@ def _train_one(
     raise ValueError(f"unknown attack {kind!r}")
 
 
+def _sgd_steps(cfg: ExperimentConfig, shard: Dataset, malicious: bool) -> int:
+    """SGD steps of one client's training in a round: attackers train
+    ``attack.malicious_epochs`` on their poisoned shard (of the shard's
+    size), and CSA and CLA first train a benign model as well."""
+    batches = -(-len(shard) // cfg.batch)
+    if not malicious:
+        return cfg.benign_epochs * batches
+    benign = cfg.benign_epochs * batches if cfg.attack_kind in ("csa", "cla") else 0
+    return benign + cfg.attack.malicious_epochs * batches
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Run one full federated experiment and return its report."""
+    """Run one full federated experiment and return its report.
+
+    Each round's clients train in w = min(CPUs this process may use,
+    n_clients) parts, dealt by ``workers.assign_parts`` so that the
+    parts' SGD step counts balance. The calling thread trains part 0;
+    each other part trains in a worker process forked once per
+    experiment, right after the model warm-up (so an experiment stopped
+    during set-up forks nothing), and reaped when the experiment ends or
+    raises. A worker gets the round number, the global model and
+    Neurotoxin's previous global delta over a pipe, and returns the raw
+    float64 models; the updates, the defense and the evaluation all run
+    in this process. A client's training is a pure function of the
+    global model, that delta, its shard and its derived seed, so the
+    bytes of the report do not depend on w or on the assignment. With
+    w = 1, or while another Python thread is alive (forking then could
+    copy a lock that thread holds), every client trains on the calling
+    thread and nothing is forked. No thread of the run itself is alive
+    at the fork: the distance threads (``params._split_rows``) live
+    inside one defense call. The workers inherit this process's
+    environment, so BLAS stays pinned to the thread count it has here.
+    When clients fail, the exception of the lowest failing client id is
+    raised, as with one part.
+    """
     start = time.perf_counter()
     n_mal = cfg.n_malicious
     if n_mal >= cfg.n_clients / 2:
@@ -361,63 +397,66 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                         seed=_derive_seed(cfg.seed, _WARM_TAG, 1)),
         )
 
+    def train_client(cid: int, rnd: int, global_model: ParameterVector,
+                     prev_delta: np.ndarray | None) -> ParameterVector:
+        # attackers are clients 0..n_mal-1, so a client's id is its attacker index
+        return _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
+                          roles[cid] is Role.MALICIOUS, cid, prev_delta)
+
+    w = min(params._cpu_count(), cfg.n_clients) if threading.active_count() == 1 else 1
+    parts = assign_parts(
+        [_sgd_steps(cfg, shards[cid], roles[cid] is Role.MALICIOUS)
+         for cid in range(cfg.n_clients)], w)
     triggered = triggered_test_set(test, trigger) if cfg.attack_kind != "none" else None
     mem = ScoreMemory()
     tally = DetectionTally()
     prev_delta: np.ndarray | None = None
     records: list[RoundRecord] = []
-    for rnd in range(cfg.rounds):
-        # the round's deltas, one row per client, read in place by the
-        # defense (defense.round_matrix) once made read-only
-        deltas = np.empty((cfg.n_clients, global_model.schema.total_length))
-        updates: list[ClientUpdate] = []
-        attacker_index = 0
-        for cid in range(cfg.n_clients):
-            malicious = roles[cid] is Role.MALICIOUS
-            model = _train_one(
-                cfg, arch, global_model, shards[cid], trigger,
-                cid, rnd, malicious, attacker_index, prev_delta,
-            )
-            if malicious:
-                attacker_index += 1
-            updates.append(
+    with RoundTrainers(train_client, parts, global_model.schema) as trainers:
+        for rnd in range(cfg.rounds):
+            models = trainers.round(rnd, global_model, prev_delta)
+            # the round's deltas, one row per client, read in place by the
+            # defense (defense.round_matrix) once made read-only
+            deltas = np.empty((cfg.n_clients, global_model.schema.total_length))
+            updates: list[ClientUpdate] = [
                 compute_update(model, global_model, client_id=cid,
                                sample_count=len(shards[cid]), true_role=roles[cid],
                                out=deltas[cid])
+                for cid, model in enumerate(models)
+            ]
+            deltas.flags.writeable = False
+            before = global_model.values
+            if cfg.defense == "fedsurrogate":
+                global_model, outcome, mem = fedsurrogate_round(
+                    updates, global_model, mem, cfg.lca, cfg.filter, cfg.weights,
+                    donor_metric=cfg.donor_metric, variant=cfg.variant,
+                )
+                flagged = outcome.confirmed_malicious
+                tally = tally_round(tally, flagged, roles)
+                n_rescued = len(outcome.rescued)
+                degenerate = outcome.degenerate
+                critical = outcome.critical_layers
+                del outcome  # its n x n distance matrix is not needed next round
+            else:
+                global_model = fedavg_aggregate(
+                    {u.client_id: u.model for u in updates},
+                    {u.client_id: u.sample_count for u in updates},
+                )
+                flagged, n_rescued, degenerate, critical = frozenset(), 0, False, ()
+            prev_delta = global_model.values - before
+            records.append(
+                RoundRecord(
+                    round=rnd,
+                    mta=main_task_accuracy(arch, global_model, test),
+                    asr=asr(arch, global_model, test, trigger, triggered=triggered)
+                    if triggered is not None else 0.0,
+                    n_flagged=len(flagged),
+                    n_rescued=n_rescued,
+                    degenerate=degenerate,
+                    critical_layers=critical,
+                )
             )
-        deltas.flags.writeable = False
-        before = global_model.values
-        if cfg.defense == "fedsurrogate":
-            global_model, outcome, mem = fedsurrogate_round(
-                updates, global_model, mem, cfg.lca, cfg.filter, cfg.weights,
-                donor_metric=cfg.donor_metric, variant=cfg.variant,
-            )
-            flagged = outcome.confirmed_malicious
-            tally = tally_round(tally, flagged, roles)
-            n_rescued = len(outcome.rescued)
-            degenerate = outcome.degenerate
-            critical = outcome.critical_layers
-            del outcome  # its n x n distance matrix is not needed next round
-        else:
-            global_model = fedavg_aggregate(
-                {u.client_id: u.model for u in updates},
-                {u.client_id: u.sample_count for u in updates},
-            )
-            flagged, n_rescued, degenerate, critical = frozenset(), 0, False, ()
-        prev_delta = global_model.values - before
-        records.append(
-            RoundRecord(
-                round=rnd,
-                mta=main_task_accuracy(arch, global_model, test),
-                asr=asr(arch, global_model, test, trigger, triggered=triggered)
-                if triggered is not None else 0.0,
-                n_flagged=len(flagged),
-                n_rescued=n_rescued,
-                degenerate=degenerate,
-                critical_layers=critical,
-            )
-        )
-        del updates, deltas, model  # freed before the next round allocates its own
+            del models, updates, deltas  # freed before the next round allocates its own
     tpr, fpr = rates(tally)
     return RunReport(
         config=cfg,

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsurrogate import clustering
 from fedsurrogate.clustering import (
     _naive_merge_tree,
     _single_linkage,
@@ -189,3 +192,71 @@ def test_single_linkage_reads_the_upper_triangle_of_a_near_symmetric_matrix():
     skewed = MR + np.tril(rng.uniform(-1e-10, 1e-10, MR.shape), -1)
     assert merge_sequence(len(MR), *_single_linkage(skewed)) == want
     assert np.array_equal(skewed, MR)   # the lower triangle became the upper's copy
+
+
+class TestMatrixCheck:
+    """``_check_matrix`` compares blocks of rows with their transposed
+    columns; it must accept exactly what ``np.allclose(D, D.T,
+    atol=1e-9)`` over the whole matrix accepts, and ``hdbscan`` must run
+    it once."""
+
+    @staticmethod
+    def accepted(D):
+        try:
+            clustering._check_matrix(D)
+        except ValueError as exc:
+            assert str(exc) == "distance matrix must be symmetric"
+            return False
+        return True
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+    def test_accepts_what_the_whole_matrix_allclose_accepts(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(40):
+            A = rng.uniform(0.0, 3.0, (n, n))
+            D = np.triu(A, 1) + np.triu(A, 1).T
+            i, j = rng.integers(n, size=2)
+            # near the tolerance atol + rtol * |D[j, i]| on either side
+            scale = (1e-9 + 1e-5 * abs(D[j, i])) * rng.choice([0.5, 0.999, 1.001, 2.0])
+            D[i, j] += scale * rng.choice([-1.0, 1.0])
+            if trial % 8 == 1:
+                D[i, j] = np.nan
+            elif trial % 8 == 2:
+                D[i, j] = D[j, i] = np.inf
+            elif trial % 8 == 3:
+                D[i, j] = np.inf
+            assert self.accepted(D) == np.allclose(D, D.T, atol=1e-9), (n, trial)
+
+    def test_error_messages_kept(self):
+        with pytest.raises(ValueError, match="^distance matrix must be square$"):
+            clustering._check_matrix(np.zeros((3, 4)))
+        D = np.zeros((40, 40))
+        D[39, 3] = 1.0
+        with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):
+            hdbscan(D, min_cluster_size=5, min_samples=3)
+
+    def test_hdbscan_checks_its_matrix_once(self, monkeypatch):
+        calls = []
+        real = clustering._check_matrix
+        monkeypatch.setattr(clustering, "_check_matrix", lambda D: calls.append(1) or real(D))
+        D, _ = blob_matrix([8, 12])
+        hdbscan(D, min_cluster_size=5, min_samples=3)
+        assert len(calls) == 1
+
+    def test_hdbscan_peak_memory_at_n320(self):
+        """At the parent's two checks a whole-matrix allclose made the
+        call's peak 2.2 times the matrix; now the reachability matrix,
+        built in place, is the one matrix-sized allocation."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((320, 40))
+        D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        D = np.triu(D, 1) + np.triu(D, 1).T
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            hdbscan(D, 5, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * D.nbytes, peak / D.nbytes

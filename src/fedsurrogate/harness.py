@@ -53,7 +53,7 @@ from .metrics import DetectionTally, asr, main_task_accuracy, mcc, rates, tally_
 from . import params
 from .model import MlpArchitecture, TrainConfig, init_model, local_train
 from .params import ClientUpdate, ParameterVector, Role, compute_update
-from .workers import RoundTrainers, assign_parts
+from .workers import RoundTrainers
 
 ATTACKS = ("none", "cba", "dba", "neurotoxin", "csa", "cla")
 DEFENSES = ("fedsurrogate", "fedavg")
@@ -298,6 +298,11 @@ def _make_trigger(cfg: ExperimentConfig, dim: int) -> TriggerSpec:
     return corner_patch_trigger(dim, fragments=fragments)
 
 
+# The package's own attack trainers: a round trains in one process while
+# any of them is hooked (replaced on this module), see ``workers``.
+_ATTACK_TRAINERS = (cba_train, dba_train, neurotoxin_train, csa_train, cla_train)
+
+
 def _train_one(
     cfg: ExperimentConfig,
     arch: MlpArchitecture,
@@ -333,41 +338,10 @@ def _train_one(
     raise ValueError(f"unknown attack {kind!r}")
 
 
-def _sgd_steps(cfg: ExperimentConfig, shard: Dataset, malicious: bool) -> int:
-    """SGD steps of one client's training in a round: attackers train
-    ``attack.malicious_epochs`` on their poisoned shard (of the shard's
-    size), and CSA and CLA first train a benign model as well."""
-    batches = -(-len(shard) // cfg.batch)
-    if not malicious:
-        return cfg.benign_epochs * batches
-    benign = cfg.benign_epochs * batches if cfg.attack_kind in ("csa", "cla") else 0
-    return benign + cfg.attack.malicious_epochs * batches
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Run one full federated experiment and return its report.
-
-    Each round's clients train in w = min(CPUs this process may use,
-    n_clients) parts, dealt by ``workers.assign_parts`` so that the
-    parts' SGD step counts balance. The calling thread trains part 0;
-    each other part trains in a worker process forked once per
-    experiment, right after the model warm-up (so an experiment stopped
-    during set-up forks nothing), and reaped when the experiment ends or
-    raises. A worker gets the round number, the global model and
-    Neurotoxin's previous global delta over a pipe, and returns the raw
-    float64 models; the updates, the defense and the evaluation all run
-    in this process. A client's training is a pure function of the
-    global model, that delta, its shard and its derived seed, so the
-    bytes of the report do not depend on w or on the assignment. With
-    w = 1, or while another Python thread is alive (forking then could
-    copy a lock that thread holds), every client trains on the calling
-    thread and nothing is forked. No thread of the run itself is alive
-    at the fork: the distance threads (``params._split_rows``) live
-    inside one defense call. The workers inherit this process's
-    environment, so BLAS stays pinned to the thread count it has here.
-    When clients fail, the exception of the lowest failing client id is
-    raised, as with one part.
-    """
+    """Run one full federated experiment and return its report. How a
+    round's clients train over worker processes, and why the report's
+    bytes do not depend on it, is told in the ``workers`` docstring."""
     start = time.perf_counter()
     n_mal = cfg.n_malicious
     if n_mal >= cfg.n_clients / 2:
@@ -403,10 +377,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         return _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
                           roles[cid] is Role.MALICIOUS, cid, prev_delta)
 
-    w = min(params._cpu_count(), cfg.n_clients) if threading.active_count() == 1 else 1
-    parts = assign_parts(
-        [_sgd_steps(cfg, shards[cid], roles[cid] is Role.MALICIOUS)
-         for cid in range(cfg.n_clients)], w)
+    hooked = (cba_train, dba_train, neurotoxin_train, csa_train, cla_train) != _ATTACK_TRAINERS
+    alone = threading.active_count() == 1 and not hooked
+    w = min(params._cpu_count(), cfg.n_clients) if alone else 1
+    parts = [list(range(k, cfg.n_clients, w)) for k in range(w)]
     triggered = triggered_test_set(test, trigger) if cfg.attack_kind != "none" else None
     mem = ScoreMemory()
     tally = DetectionTally()

@@ -1,15 +1,49 @@
 """One round's client training split over forked worker processes.
 
-A client's training in a round is a pure function of the global model,
-the previous global delta, its shard and its derived seed, so it gives
-the same bits in any process. ``RoundTrainers`` trains part 0 of a
-static assignment of clients to parts on the calling thread, and each
-other part in a worker process forked once, when it is entered. Every
-round it writes each worker the round number, the global model and the
-previous global delta over a pipe; the worker trains all its clients
-and writes back a status byte and the raw float64 models, which are
-read into fresh read-only arrays. Pipes only: a memory block shared
-across rounds would be rewritten under the models a caller still holds.
+``harness.run_experiment`` trains each round's clients in w = min(CPUs
+the process may use, n_clients) parts, client c in part c mod w.
+Threads cannot split training: numpy holds the GIL in matmuls this
+small. ``RoundTrainers`` trains part 0 on the calling thread and each
+other part in a worker process forked once per experiment, right after
+the model warm-up, so an experiment stopped during set-up forks
+nothing. Every round it writes each worker one message over a pipe: the
+round number, the global model and Neurotoxin's previous global delta.
+The worker trains all its clients, then writes back a status byte and
+the raw float64 models (writing each as it is trained would stall the
+worker, since a 64 KB pipe holds three models). They are read with
+``readinto`` into fresh read-only arrays that ``ParameterVector`` wraps
+without a copy. The updates, the round matrix, the defense and the
+evaluation stay in the calling process.
+
+Bytes. A client's training is a pure function of the global model, the
+previous global delta, its shard and its derived seed, and the models
+travel as raw bits, so the report's bytes do not depend on w. Pipes are
+the only channel: a memory block reused across rounds would be
+rewritten under the models a caller still holds from an earlier round.
+
+Failures. Each part trains in id order and stops at its first failing
+client, and the exception of the lowest failing id is raised, as with
+one part; a worker's is pickled back with its traceback as a note. An
+error, a ``KeyboardInterrupt`` or a worker's death ends the run with an
+exception, not a hang: the workers are killed and reaped, so no child
+is left. Workers ignore SIGINT (the calling process owns the interrupt)
+and leave through ``os._exit`` when their command pipe closes, so none
+returns into its caller's stack.
+
+Processes. With w = 1 nothing is forked, and the same holds while
+another Python thread is alive, since a fork could copy a lock that
+thread holds; the distance threads of ``params._split_rows`` live only
+inside a defense call. The workers inherit the process's environment,
+so BLAS stays pinned to the same thread count in each of them.
+
+Hooks. A worker calls the training stages as ``harness``'s module
+attributes held them at the fork, so what a hook wrapped around one
+records in a worker stays there. A round therefore trains in one
+process while any of the five attack trainers is hooked: the round
+benchmark's tracer hooks them, and its training spans and counts cover
+every client. ``local_train`` may be hooked without that, as the
+benchmark's timed runs do to mark the end of the warm-up; a hook on it
+alone sees the warm-up and part 0's clients only.
 """
 from __future__ import annotations
 
@@ -32,21 +66,6 @@ Train = Callable[[int, int, ParameterVector, "np.ndarray | None"], ParameterVect
 _COMMAND = struct.Struct("<q?")     # round, whether a previous global delta follows
 _FAILURE = struct.Struct("<qQ")     # failed client, length of its pickled exception
 _OK, _FAILED = b"\x00", b"\x01"
-
-
-def assign_parts(costs: Sequence[int], w: int) -> list[list[int]]:
-    """Clients 0..n-1 dealt into ``w`` parts balanced by ``costs``: the
-    costliest first (lower id on ties), each to the least loaded part
-    (lower index on ties). Each part lists its clients in ascending id
-    order, so part 0 holds the costliest client and no part is empty
-    when w <= n."""
-    loads = [0] * w
-    parts: list[list[int]] = [[] for _ in range(w)]
-    for cid in sorted(range(len(costs)), key=lambda c: (-costs[c], c)):
-        k = loads.index(min(loads))
-        parts[k].append(cid)
-        loads[k] += costs[cid]
-    return [sorted(p) for p in parts]
 
 
 def _train_part(train: Train, clients: Sequence[int], rnd: int,
@@ -125,16 +144,10 @@ class _Worker:
 
 
 class RoundTrainers:
-    """Trains every client of a round, part 0 of ``parts`` on the calling
-    thread and each other part in a worker process of its own.
-
-    Entering forks the workers; leaving closes their command pipes, on
-    which end-of-file makes a worker leave through ``os._exit`` (it
-    never returns into the caller's stack), and reaps them. Leaving on
-    an exception kills them first, so an error, a ``KeyboardInterrupt``
-    or a worker's death ends the run with an exception, not a hang, and
-    leaves no child behind. Workers ignore SIGINT: the parent owns the
-    interrupt. With one part nothing is forked."""
+    """Trains every client of a round: part 0 of ``parts`` on the
+    calling thread, each other part in a worker process forked on
+    entering and reaped on leaving, killed first when leaving on an
+    exception."""
 
     def __init__(self, train: Train, parts: Sequence[Sequence[int]], schema: LayerSchema):
         self._train = train

@@ -1,8 +1,9 @@
 """Client training split over forked worker processes.
 
 ``harness.run_experiment`` trains each round's clients in
-w = min(CPUs, n_clients) parts, part 0 on the calling thread and each
-other part in a worker process forked after the warm-up. The part count
+w = min(CPUs, n_clients) parts, client c in part c mod w, part 0 on the
+calling thread and each other part in a worker process forked after the
+warm-up. The part count
 is forced here by patching ``params._cpu_count``. The reports must not
 depend on it, a failure anywhere must end the run with an exception and
 no child left behind, and a worker must never return into its caller's
@@ -21,7 +22,7 @@ from fedsurrogate import harness, params
 from fedsurrogate.attacks import AttackConfig
 from fedsurrogate.harness import DatasetSpec, ExperimentConfig, report_to_csv, report_to_json
 from fedsurrogate.params import LayerSchema, ParameterVector
-from fedsurrogate.workers import RoundTrainers, assign_parts
+from fedsurrogate.workers import RoundTrainers
 
 
 def small(**overrides):
@@ -89,36 +90,6 @@ def run_with_parts(monkeypatch, cfg, w):
     return harness.run_experiment(cfg)
 
 
-class TestAssignParts:
-    def test_every_client_once_in_id_order_and_balanced(self):
-        rng = np.random.default_rng(0)
-        for trial in range(200):
-            n = int(rng.integers(1, 40))
-            w = int(rng.integers(1, n + 1))
-            costs = [int(c) for c in rng.integers(1, 50, n)]
-            parts = assign_parts(costs, w)
-            assert len(parts) == w and all(parts)
-            assert sorted(c for p in parts for c in p) == list(range(n))
-            assert all(p == sorted(p) for p in parts)
-            assert max(range(n), key=lambda c: (costs[c], -c)) in parts[0]
-            loads = [sum(costs[c] for c in p) for p in parts]
-            # longest first: no part exceeds another by more than one client's cost
-            assert max(loads) - min(loads) <= max(costs)
-            assert parts == assign_parts(costs, w)
-
-    def test_one_part_is_every_client(self):
-        assert assign_parts([3, 1, 2], 1) == [[0, 1, 2]]
-
-    def test_steps_count_each_attack_s_training(self):
-        shard = harness.Dataset(np.zeros((70, 64)), np.zeros(70, dtype=np.int64), 4)
-        for kind, attacker in (("cba", 5 * 3), ("dba", 15), ("neurotoxin", 15),
-                               ("csa", 15 + 2 * 3), ("cla", 15 + 2 * 3)):
-            cfg = small(attack_kind=kind, attack=AttackConfig(malicious_epochs=5),
-                        benign_epochs=2, batch=32)
-            assert harness._sgd_steps(cfg, shard, True) == attacker
-            assert harness._sgd_steps(cfg, shard, False) == 2 * 3
-
-
 CONFIGS = {
     **{kind: small(attack_kind=kind) for kind in ("cba", "dba", "neurotoxin", "csa", "cla")},
     "none": small(attack_kind="none"),
@@ -140,9 +111,8 @@ def test_reports_do_not_depend_on_the_part_count(monkeypatch, forks, name):
         assert report_to_json(report) == report_to_json(one)
         assert_no_child_left()
     assert len(forks) == 1 + 2
-    # with three parts the attackers train in more than one process
-    attackers = set(range(cfg.n_malicious))
-    assert sum(bool(attackers & set(p)) for p in dealt[2]) >= min(2, len(attackers))
+    assert dealt == [[list(range(9))], [[0, 2, 4, 6, 8], [1, 3, 5, 7]],
+                     [[0, 3, 6], [1, 4, 7], [2, 5, 8]]]
 
 
 def test_one_part_never_forks(monkeypatch):
@@ -166,6 +136,41 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+@pytest.mark.parametrize("kind", ["cba", "none"])
+def test_a_hooked_attack_trainer_keeps_every_client_here(monkeypatch, kind):
+    """A hook on any attack trainer must see every call, so nothing is
+    forked; the report's bytes stay those of an unhooked run."""
+    cfg = small(attack_kind=kind)
+    plain = run_with_parts(monkeypatch, cfg, 1)
+    seen = []
+    real = harness.cba_train
+    monkeypatch.setattr(harness, "cba_train",
+                        lambda *a: seen.append(os.getpid()) or real(*a))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a hooked attack trainer"))
+    report = run_with_parts(monkeypatch, cfg, 3)
+    assert report_to_csv(report) == report_to_csv(plain)
+    expected = cfg.rounds * cfg.n_malicious if kind == "cba" else 0
+    assert seen == [os.getpid()] * expected
+
+
+def test_a_hooked_local_train_still_forks(monkeypatch, forks):
+    """The benchmark's timed runs hook local_train to mark the end of the
+    warm-up; that hook sees the warm-up and part 0 in this process."""
+    parent = os.getpid()
+    seen = []
+    real = harness.local_train
+    monkeypatch.setattr(harness, "local_train",
+                        lambda *a: seen.append(os.getpid()) or real(*a))
+    cfg = small()
+    run_with_parts(monkeypatch, cfg, 2)
+    if os.getpid() != parent:
+        os._exit(99)
+    assert len(forks) == 1
+    benign_part_0 = [c for c in range(0, cfg.n_clients, 2) if c >= cfg.n_malicious]
+    assert seen == [parent] * (1 + cfg.rounds * len(benign_part_0))
+    assert_no_child_left()
 
 
 def test_set_up_stopped_at_the_warm_up_forks_nothing(monkeypatch):

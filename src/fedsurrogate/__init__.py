@@ -6,7 +6,7 @@ Submodules:
     data        synthetic datasets, IDX ingestion, Dirichlet partitioning, triggers
     model       small MLP with manual forward/backward and local SGD
     attacks     CBA / DBA / Neurotoxin and the adaptive CSA / CLA attacks
-    clustering  HDBSCAN on precomputed distance matrices (+ naive reference)
+    clustering  HDBSCAN on precomputed distance matrices
     defense     the three-stage defense pipeline and the FedAvg control
     metrics     MTA / ASR / TPR / FPR / MCC
     harness     experiment orchestration, sweeps, ablations, CSV/JSON reports

@@ -18,8 +18,9 @@ Conventions (fixed so results are bit-deterministic):
     proper cluster instead, so the fence only ever has to reject sparse
     strays.
 
-``hdbscan_reference`` is an independent naive implementation (repeated
-matrix-scan merging, recursive condensing) used as the test oracle.
+The test oracle, a naive implementation that shares no helper with
+this module (repeated matrix-scan merging, recursive condensing), is
+``tests/hdbscan_oracle.py``.
 """
 from __future__ import annotations
 
@@ -66,13 +67,9 @@ def _check_matrix(D: np.ndarray) -> np.ndarray:
     return D
 
 
-def core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance to each point's min_samples-th nearest other point."""
-    return _core_distances(_check_matrix(D), min_samples)
-
-
 def _core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
-    """``core_distances`` of a matrix ``_check_matrix`` has accepted."""
+    """Distance to each point's min_samples-th nearest other point, in a
+    matrix ``_check_matrix`` has accepted."""
     n = len(D)
     if not 1 <= min_samples < n:
         raise ValueError("need 1 <= min_samples < n")
@@ -82,13 +79,9 @@ def _core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
     return others[:, min_samples - 1].copy()
 
 
-def mutual_reachability(D: np.ndarray, min_samples: int) -> np.ndarray:
-    """MR(a, b) = max(core_a, core_b, D(a, b)), zero diagonal."""
-    D = _check_matrix(D)
-    return _reachability(D, _core_distances(D, min_samples))
-
-
 def _reachability(D: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Mutual reachability MR(a, b) = max(core_a, core_b, D(a, b)), zero
+    diagonal."""
     MR = np.maximum.outer(core, core)
     np.maximum(D, MR, out=MR)
     np.fill_diagonal(MR, 0.0)
@@ -174,7 +167,6 @@ def _condense(
       cluster_birth: birth lambda per cluster
       point_cluster: deepest cluster id per point
       point_lambda: lambda at which the point exits that cluster
-      point_exit_dist: matching exit distance
     """
     def subtree_size(node: int) -> int:
         return 1 if node < n else sizes[node - n]
@@ -197,7 +189,6 @@ def _condense(
     cluster_birth = [0.0]
     point_cluster = [0] * n
     point_lambda = [0.0] * n
-    point_exit_dist = [0.0] * n
 
     root = n + len(children) - 1 if children else 0
     stack = [(root, 0)]  # (merge-tree node, cluster id)
@@ -206,7 +197,6 @@ def _condense(
         if node < n:  # single point left on the cluster spine
             point_cluster[node] = cid
             point_lambda[node] = _lam(0.0)
-            point_exit_dist[node] = 0.0
             continue
         a, b = children[node - n]
         d = dists[node - n]
@@ -228,14 +218,12 @@ def _condense(
             for p in leaves(drop):
                 point_cluster[p] = cid
                 point_lambda[p] = lam
-                point_exit_dist[p] = d
             stack.append((keep, cid))
         else:  # cluster dies: everything left exits here
             for p in leaves(node):
                 point_cluster[p] = cid
                 point_lambda[p] = lam
-                point_exit_dist[p] = d
-    return cluster_parent, cluster_birth, point_cluster, point_lambda, point_exit_dist
+    return cluster_parent, cluster_birth, point_cluster, point_lambda
 
 
 def _select_eom(
@@ -325,7 +313,7 @@ def hdbscan(
 
     core = _core_distances(D, min_samples)
     children, dists = _single_linkage(_reachability(D, core))
-    cparent, cbirth, pcluster, plambda, _pexit = _condense(
+    cparent, cbirth, pcluster, plambda = _condense(
         n, children, dists, min_cluster_size, selection_epsilon
     )
     selected = _select_eom(cparent, cbirth, pcluster, plambda)
@@ -377,146 +365,3 @@ def largest_cluster(result: ClusterResult) -> frozenset[int]:
         return frozenset()
     best = min(result.cluster_sizes, key=lambda cid: (-result.cluster_sizes[cid], cid))
     return frozenset(i for i, lbl in enumerate(result.labels) if lbl == best)
-
-
-# ---------------------------------------------------------------------------
-# Naive reference implementation (test oracle). Same conventions, different
-# algorithm: repeated matrix scans and recursion over explicit point sets.
-# ---------------------------------------------------------------------------
-
-def _naive_merge_tree(MR: np.ndarray):
-    """Single linkage by repeatedly scanning for the lexicographically
-    smallest inter-cluster edge between original points."""
-    n = len(MR)
-    membership = {i: frozenset([i]) for i in range(n)}  # active root -> points
-    node_of = {i: i for i in range(n)}
-    children, dists = {}, {}
-    nxt = n
-    while len(membership) > 1:
-        best = None
-        roots = sorted(membership)
-        for ra in roots:
-            for rb in roots:
-                if rb <= ra:
-                    continue
-                for i in sorted(membership[ra]):
-                    for j in sorted(membership[rb]):
-                        a, b = min(i, j), max(i, j)
-                        cand = (MR[a, b], a, b, ra, rb)
-                        if best is None or cand[:3] < best[:3]:
-                            best = cand
-        _, _, _, ra, rb = best
-        children[nxt] = (node_of[ra], node_of[rb])
-        dists[nxt] = best[0]
-        merged = membership.pop(ra) | membership.pop(rb)
-        membership[min(ra, rb)] = merged
-        node_of[min(ra, rb)] = nxt
-        nxt += 1
-    return children, dists
-
-
-def _naive_condense(n, children, dists, mcs, selection_epsilon=0.0):
-    """Recursive condensed-tree construction over explicit point sets."""
-    clusters = []  # (parent, birth)
-    point_info = {}  # point -> (cluster, lambda, exit_dist)
-
-    def points_under(node):
-        if node < n:
-            return [node]
-        a, b = children[node]
-        return points_under(a) + points_under(b)
-
-    def walk(node, cid):
-        if node < n:
-            point_info[node] = (cid, _lam(0.0), 0.0)
-            return
-        a, b = children[node]
-        d = dists[node]
-        na, nb = len(points_under(a)), len(points_under(b))
-        if na >= mcs and nb >= mcs and d < selection_epsilon:
-            walk(a, cid)
-            walk(b, cid)
-        elif na >= mcs and nb >= mcs:
-            for child in (b, a):
-                clusters.append((cid, _lam(d)))
-                walk(child, len(clusters) - 1)
-        elif na >= mcs or nb >= mcs:
-            keep, drop = (a, b) if na >= mcs else (b, a)
-            for p in points_under(drop):
-                point_info[p] = (cid, _lam(d), d)
-            walk(keep, cid)
-        else:
-            for p in points_under(node):
-                point_info[p] = (cid, _lam(d), d)
-
-    clusters.append((-1, 0.0))
-    root = n + len(children) - 1 if children else 0
-    walk(root, 0)
-    return clusters, point_info
-
-
-def hdbscan_reference(
-    D: np.ndarray,
-    min_cluster_size: int,
-    min_samples: int,
-    selection_epsilon: float = 0.0,
-) -> ClusterResult:
-    """Naive re-implementation used as the oracle in tests."""
-    D = _check_matrix(D)
-    n = len(D)
-    if n < min_cluster_size:
-        return ClusterResult(tuple([-1] * n), {})
-    MR = mutual_reachability(D, min_samples)
-    children, dists = _naive_merge_tree(MR)
-    clusters, point_info = _naive_condense(
-        n, children, dists, min_cluster_size, selection_epsilon
-    )
-
-    def descendants_points(cid):
-        return [p for p, (c, _, _) in point_info.items() if _is_ancestor(cid, c)]
-
-    def _is_ancestor(anc, c):
-        while c != -1:
-            if c == anc:
-                return True
-            c = clusters[c][0]
-        return False
-
-    stability = {}
-    for cid, (par, birth) in enumerate(clusters):
-        s = 0.0
-        for p, (c, lam, _) in point_info.items():
-            if c == cid:
-                s += lam - birth
-        for kid, (kpar, kbirth) in enumerate(clusters):
-            if kpar == cid:
-                s += len(descendants_points(kid)) * (kbirth - birth)
-        stability[cid] = s
-
-    def best_of(cid):
-        kids = [k for k, (p, _) in enumerate(clusters) if p == cid]
-        child_sum = sum(best_of(k)[0] for k in kids)
-        if kids and (cid == 0 or child_sum > stability[cid]):
-            picked = []
-            for k in kids:
-                picked.extend(best_of(k)[1])
-            return child_sum, picked
-        return stability[cid], [cid]
-
-    _, selected = best_of(0)
-    label_of = {cid: k for k, cid in enumerate(sorted(selected))}
-    labels = [-1] * n
-    for p, (c, _, _) in point_info.items():
-        while c != -1:
-            if c in label_of:
-                labels[p] = label_of[c]
-                break
-            c = clusters[c][0]
-    if 0 in selected:
-        keep = _mad_keep(core_distances(D, min_samples))
-        for p in range(n):
-            if labels[p] == label_of[0] and not keep[p]:
-                labels[p] = -1
-        if sum(1 for lbl in labels if lbl == label_of[0]) < min_cluster_size:
-            labels = [-1 if lbl == label_of[0] else lbl for lbl in labels]
-    return _canonical_result(labels)

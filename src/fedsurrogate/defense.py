@@ -62,11 +62,13 @@ class LcaConfig:
 class FilterConfig:
     zeta: float = 0.4
     iqr_multiplier: float = 1.5
-    rescue_layers: tuple[str, ...] = ()
+    rescue_layers: tuple[str, ...] = ("fc2", "fc3")
 
     def __post_init__(self):
         if not 0.0 < self.zeta <= 1.0:
             raise ValueError("zeta must be in (0, 1]")
+        if not self.rescue_layers:
+            raise ValueError("rescue_layers must name at least one layer")
 
 
 @dataclass(frozen=True)
@@ -93,16 +95,16 @@ class ScoreMemory:
 
 @dataclass(frozen=True)
 class RoundOutcome:
+    """A round's partition of the clients. Stage 2's suspects are
+    ``rescued | confirmed_malicious`` and the aggregated ones
+    ``coarse_trusted | rescued``."""
+
     critical_layers: tuple[str, ...]
-    distance_matrix: np.ndarray
     coarse_trusted: frozenset[int]      # post-demotion
-    suspects: frozenset[int]            # at rescue entry (incl. demoted)
     demoted: frozenset[int]
     rescued: frozenset[int]
     confirmed_malicious: frozenset[int]
-    trusted: frozenset[int]             # coarse_trusted | rescued
     donors: dict[int, int]
-    global_after: ParameterVector
     degenerate: bool = False
 
     def __post_init__(self):
@@ -110,8 +112,6 @@ class RoundOutcome:
         union = frozenset().union(*parts)
         if sum(len(p) for p in parts) != len(union):
             raise ValueError("outcome sets overlap")
-        if self.trusted != self.coarse_trusted | self.rescued:
-            raise ValueError("trusted != coarse_trusted | rescued")
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +338,22 @@ def rescue_suspects(
 def select_donor(
     flagged: int,
     trusted: frozenset[int],
-    D: np.ndarray,
+    row: np.ndarray,
     index_of: Mapping[int, int],
     metric: str | None = None,
     features: Sequence[np.ndarray] | None = None,
 ) -> int:
-    """Nearest trusted donor for a flagged client by the donor-distance
-    matrix D, of which only the flagged client's row is read; ties by
-    lower id.
+    """Nearest trusted donor for a flagged client by ``row``, its
+    distances under the round's donor metric to every client, at the
+    positions ``index_of`` maps client ids to; ties by lower id.
 
-    ``index_of`` maps client ids to rows of D. ``metric`` and
-    ``features`` are not read: D already holds the distances under the
-    round's donor metric. They remain so that callers and wrappers
-    written for the former per-pair signature keep working."""
+    ``flagged``, ``metric`` and ``features`` are not read. They remain
+    so that wrappers written for the former per-pair signature, which
+    pass all six arguments on, keep working."""
     if not trusted:
         raise ValueError("no trusted clients to donate")
     pool = sorted(trusted)
-    row = D[index_of[flagged], [index_of[c] for c in pool]]
-    return pool[int(np.argmin(row))]
+    return pool[int(np.argmin(row[[index_of[c] for c in pool]]))]
 
 
 def build_surrogate(
@@ -467,10 +465,7 @@ def fedsurrogate_round(
             rescued, flagged = rescue_suspects(mem, suspects, filter_cfg)
     trusted = coarse | rescued
 
-    # Stage 3: one donor-distance matrix per round. The coarse D is
-    # already euclidean over the same critical-layer features; cosine
-    # distances are computed for the flagged rows only, the rows
-    # select_donor reads, and the other rows are left NaN.
+    # Stage 3
     donors: dict[int, int] = {}
     models: dict[int, ParameterVector] = {}
     roles: dict[int, str] = {}
@@ -481,13 +476,13 @@ def fedsurrogate_round(
             models[cid], roles[cid] = by_id[cid].model, "rescued"
     # no trusted clients at all: flagged updates are simply excluded
     if flagged and trusted and variant not in ("stage1", "exclude"):
-        donor_D = D
-        if donor_metric == "cosine":
-            rows = [index_of[cid] for cid in sorted(flagged)]
-            donor_D = np.full(D.shape, np.nan)
-            donor_D[rows] = cosine_distance_rows(features, rows)
-        for cid in sorted(flagged):
-            donor = select_donor(cid, trusted, donor_D, index_of)
+        order = sorted(flagged)
+        rows = [index_of[cid] for cid in order]
+        # the flagged clients' donor-distance rows: the coarse D is already
+        # euclidean over the same critical-layer features
+        donor_rows = cosine_distance_rows(features, rows) if donor_metric == "cosine" else D[rows]
+        for cid, row in zip(order, donor_rows):
+            donor = select_donor(cid, trusted, row, index_of)
             donors[cid] = donor
             models[cid] = build_surrogate(by_id[cid].model, by_id[donor].model, critical)
             roles[cid] = "surrogate"
@@ -495,15 +490,11 @@ def fedsurrogate_round(
     new_global = aggregate(models, roles, weights) if models else global_model
     outcome = RoundOutcome(
         critical_layers=critical,
-        distance_matrix=D,
         coarse_trusted=frozenset(coarse),
-        suspects=frozenset(suspects),
         demoted=demoted,
         rescued=rescued,
         confirmed_malicious=flagged,
-        trusted=trusted,
         donors=donors,
-        global_after=new_global,
         degenerate=degenerate_lca or degenerate_cluster,
     )
     return new_global, outcome, mem

@@ -105,7 +105,7 @@ class ExperimentConfig:
     attack: AttackConfig = field(default_factory=AttackConfig)
     defense: str = "fedsurrogate"
     lca: LcaConfig = field(default_factory=LcaConfig)
-    filter: FilterConfig = field(default_factory=lambda: FilterConfig(rescue_layers=("fc2", "fc3")))
+    filter: FilterConfig = field(default_factory=FilterConfig)
     weights: AggregationWeights = field(default_factory=AggregationWeights)
     donor_metric: str = "cosine"
     variant: str = "full"
@@ -137,8 +137,7 @@ class ExperimentConfig:
         if self.warmup_epochs < 0 or self.warmup_per_class < 1:
             raise ValueError("warmup fields must be non-negative / positive")
         n_layers = len(self.hidden_dims) + 1
-        rescue = set(self.filter.rescue_layers)
-        if not rescue or rescue - {f"fc{k + 1}" for k in range(n_layers)}:
+        if set(self.filter.rescue_layers) - {f"fc{k + 1}" for k in range(n_layers)}:
             raise ValueError(
                 f"filter.rescue_layers {self.filter.rescue_layers} must name layers "
                 f"among fc1..fc{n_layers}, those of hidden_dims {self.hidden_dims}"
@@ -410,7 +409,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 n_rescued = len(outcome.rescued)
                 degenerate = outcome.degenerate
                 critical = outcome.critical_layers
-                del outcome  # its n x n distance matrix is not needed next round
             else:
                 global_model = fedavg_aggregate(
                     {u.client_id: u.model for u in updates},

@@ -34,9 +34,6 @@ class MlpArchitecture:
     def num_classes(self) -> int:
         return self.layer_dims[-1]
 
-    def layer_names(self) -> tuple[str, ...]:
-        return tuple(f"fc{k + 1}" for k in range(self.num_layers))
-
     def schema(self) -> LayerSchema:
         lengths = [
             (f"fc{k + 1}", self.layer_dims[k] * self.layer_dims[k + 1] + self.layer_dims[k + 1])

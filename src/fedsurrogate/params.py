@@ -70,14 +70,6 @@ class LayerSchema:
                 return offset, offset + length
         raise SchemaError(f"unknown layer {name!r}")
 
-    def mask(self, names: Sequence[str]) -> np.ndarray:
-        """Boolean mask selecting the union of the given layers."""
-        out = np.zeros(self.total_length, dtype=bool)
-        for name in names:
-            lo, hi = self.bounds(name)
-            out[lo:hi] = True
-        return out
-
 
 def _freeze(values: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from fedsurrogate import clustering
 from fedsurrogate.clustering import (
-    _naive_merge_tree,
+    _check_matrix,
+    _core_distances,
+    _reachability,
     _single_linkage,
-    core_distances,
     hdbscan,
-    hdbscan_reference,
     largest_cluster,
-    mutual_reachability,
 )
+
+from hdbscan_oracle import hdbscan_reference, mutual_reachability, naive_merge_tree
 
 
 def blob_matrix(sizes, intra=0.05, inter=1.0, seed=0):
@@ -33,27 +34,25 @@ def blob_matrix(sizes, intra=0.05, inter=1.0, seed=0):
 
 class TestCoreDistances:
     def test_three_point_line(self):
-        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        core = core_distances(D, min_samples=2)
+        D = _check_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        core = _core_distances(D, min_samples=2)
         assert core.tolist() == [2.0, 1.0, 2.0]
-        MR = mutual_reachability(D, min_samples=2)
-        assert MR[0, 2] == 2.0
-        assert np.allclose(MR, MR.T)
-        assert np.all(np.diag(MR) == 0.0)
+        MR = _reachability(D, core)
+        assert MR.tolist() == [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]
 
     def test_min_samples_one_is_nearest_neighbor(self):
-        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        assert core_distances(D, min_samples=1).tolist() == [1.0, 1.0, 1.0]
+        D = _check_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        assert _core_distances(D, min_samples=1).tolist() == [1.0, 1.0, 1.0]
 
     def test_invalid_min_samples(self):
         D = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            core_distances(D, min_samples=3)
+            _core_distances(D, min_samples=3)
 
     def test_asymmetric_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
-            core_distances(D, min_samples=1)
+            _check_matrix(D)
 
 
 class TestHdbscan:
@@ -140,9 +139,12 @@ class TestReferenceAgreement:
 
     def test_epsilon_agrees_with_reference(self):
         D, _ = blob_matrix([5, 5, 6], intra=0.05, inter=0.4, seed=3)
-        a = hdbscan(D, 3, 2, selection_epsilon=0.5)
-        b = hdbscan_reference(D, 3, 2, selection_epsilon=0.5)
-        assert a.labels == b.labels
+        # the blobs merge at about 0.2: 0.25 suppresses those splits, so a
+        # fault that scales the merge distances shows; 0.5 is far above them
+        for eps in (0.25, 0.5):
+            a = hdbscan(D, 3, 2, selection_epsilon=eps)
+            b = hdbscan_reference(D, 3, 2, selection_epsilon=eps)
+            assert a.labels == b.labels, eps
 
 
 def merge_sequence(n, children, dists):
@@ -175,7 +177,7 @@ class TestPrimTies:
         n = len(D)
         ms = int(rng.integers(1, min(4, n)))
         MR = mutual_reachability(D, ms)
-        naive_children, naive_dists = _naive_merge_tree(MR)
+        naive_children, naive_dists = naive_merge_tree(MR)
         nodes = range(n, 2 * n - 1)
         want = merge_sequence(n, [naive_children[k] for k in nodes], [naive_dists[k] for k in nodes])
         assert merge_sequence(n, *_single_linkage(MR)) == want
@@ -203,7 +205,7 @@ class TestMatrixCheck:
     @staticmethod
     def accepted(D):
         try:
-            clustering._check_matrix(D)
+            _check_matrix(D)
         except ValueError as exc:
             assert str(exc) == "distance matrix must be symmetric"
             return False
@@ -229,7 +231,7 @@ class TestMatrixCheck:
 
     def test_error_messages_kept(self):
         with pytest.raises(ValueError, match="^distance matrix must be square$"):
-            clustering._check_matrix(np.zeros((3, 4)))
+            _check_matrix(np.zeros((3, 4)))
         D = np.zeros((40, 40))
         D[39, 3] = 1.0
         with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):

@@ -239,7 +239,7 @@ class TestSelectDonor:
     def test_tie_low_id(self):
         D = np.array([[0.0, 0.3, 0.3], [0.3, 0.0, 0.1], [0.3, 0.1, 0.0]])
         idx = {0: 0, 1: 1, 2: 2}
-        assert select_donor(0, frozenset({1, 2}), D, idx) == 1
+        assert select_donor(0, frozenset({1, 2}), D[0], idx) == 1
 
     def test_metric_disagreement(self):
         # trusted client 2 points the same way as the flagged client but is
@@ -248,12 +248,12 @@ class TestSelectDonor:
         cos = pairwise_distance_matrix(feats, "cosine")
         euc = pairwise_distance_matrix(feats, "euclidean")
         idx = {0: 0, 1: 1, 2: 2}
-        assert select_donor(0, frozenset({1, 2}), cos, idx) == 2
-        assert select_donor(0, frozenset({1, 2}), euc, idx) == 1
+        assert select_donor(0, frozenset({1, 2}), cos[0], idx) == 2
+        assert select_donor(0, frozenset({1, 2}), euc[0], idx) == 1
 
     def test_no_trusted(self):
         with pytest.raises(ValueError):
-            select_donor(0, frozenset(), np.zeros((2, 2)), {0: 0, 1: 1})
+            select_donor(0, frozenset(), np.zeros(2), {0: 0, 1: 1})
 
 
 class TestSurrogateAndAggregation:
@@ -325,7 +325,16 @@ class TestFullRound:
         assert not (outcome.confirmed_malicious & frozenset(range(10)))
         assert set(outcome.donors) == set(outcome.confirmed_malicious)
         for flagged, donor in outcome.donors.items():
-            assert donor in outcome.trusted
+            assert donor in outcome.coarse_trusted | outcome.rescued
+
+    def test_default_filter_config_runs_a_round(self):
+        ups, g = planted_round()
+        _, outcome, _ = fedsurrogate_round(
+            ups, g, ScoreMemory(), LcaConfig(), FilterConfig(), AggregationWeights())
+        assert frozenset(range(10, 14)) <= outcome.confirmed_malicious
+        assert FilterConfig().rescue_layers == ("fc2", "fc3")
+        with pytest.raises(ValueError, match="rescue_layers"):
+            FilterConfig(rescue_layers=())
 
     def test_variant_exclude_drops_flagged(self):
         ups, g = planted_round()

@@ -158,7 +158,7 @@ def test_donors_match_oracle(seed, metric):
         for flagged in range(n):
             others = [c for c in range(n) if c != flagged]
             trusted = frozenset(c for c in others if rng.uniform() < 0.7) or frozenset(others)
-            assert (select_donor(flagged, trusted, D, index_of)
+            assert (select_donor(flagged, trusted, D[flagged], index_of)
                     == donor_oracle(flagged, trusted, X, metric))
 
 
@@ -167,9 +167,9 @@ def test_identical_and_zero_candidates_go_to_lower_id(metric):
     X = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [0.0, 0.0], [3.0, -1.0]])
     D = pairwise_distance_matrix(X, metric)
     index_of = {c: c for c in range(5)}
-    assert select_donor(0, frozenset({2, 4}), D, index_of) == 2
-    assert select_donor(0, frozenset({1, 3}), D, index_of) == 1
-    assert select_donor(1, frozenset({2, 3, 4}), D, index_of) == (2 if metric == "cosine" else 3)
+    assert select_donor(0, frozenset({2, 4}), D[0], index_of) == 2
+    assert select_donor(0, frozenset({1, 3}), D[0], index_of) == 1
+    assert select_donor(1, frozenset({2, 3, 4}), D[1], index_of) == (2 if metric == "cosine" else 3)
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
@@ -190,7 +190,8 @@ def test_round_donors_match_oracle(seed, metric):
     assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
     features = [u.delta.restricted(outcome.critical_layers) for u in updates]
     for flagged, donor in outcome.donors.items():
-        assert donor == donor_oracle(flagged, outcome.trusted, features, metric)
+        assert donor == donor_oracle(
+            flagged, outcome.coarse_trusted | outcome.rescued, features, metric)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -226,9 +227,10 @@ def test_round_donors_equal_full_matrix_donors_on_ties(seed):
     features = np.array([u.delta.restricted(outcome.critical_layers) for u in updates])
     D = pairwise_distance_matrix(features, "cosine")
     index_of = {c: c for c in range(len(updates))}
-    want = {c: select_donor(c, outcome.trusted, D, index_of) for c in outcome.donors}
+    trusted = outcome.coarse_trusted | outcome.rescued
+    want = {c: select_donor(c, trusted, D[c], index_of) for c in outcome.donors}
     assert outcome.donors == want
-    pool = sorted(outcome.trusted)
+    pool = sorted(trusted)
     assert any(np.sum(D[c, pool] == D[c, pool].min()) > 1 for c in outcome.donors)
 
 

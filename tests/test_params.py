@@ -29,10 +29,6 @@ class TestLayerSchema:
         assert s.total_length == 5
         assert s.bounds("b") == (2, 5)
 
-    def test_mask(self):
-        s = schema_ab()
-        assert s.mask(["b"]).tolist() == [False, False, True, True, True]
-
     def test_wrong_length_rejected(self):
         with pytest.raises((ValueError, SchemaError)):
             ParameterVector(np.zeros(4), schema_ab())

@@ -21,7 +21,6 @@ from .params import (
     ClientUpdate,
     ParameterVector,
     cosine_distance_rows,
-    gram_cosine_distances,
     pairwise_distance_matrix,
     row_dots,
 )
@@ -69,6 +68,8 @@ class FilterConfig:
             raise ValueError("zeta must be in (0, 1]")
         if not self.rescue_layers:
             raise ValueError("rescue_layers must name at least one layer")
+        if len(set(self.rescue_layers)) < len(self.rescue_layers):
+            raise ValueError(f"config key 'filter.rescue_layers' repeats a layer: {self.rescue_layers}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,9 @@ class RoundOutcome:
 # ---------------------------------------------------------------------------
 
 def layer_divergence(updates: Sequence[ClientUpdate]) -> dict[str, float]:
-    """Mean pairwise cosine distance of the clients' deltas, per layer."""
+    """Mean pairwise cosine distance of the clients' deltas, per layer,
+    from one weighted row sum s = sum_i u_i over the unit rows u_i: the
+    cosines of the pairs i != j sum to |s|^2 - sum_i |u_i|^2."""
     if len(updates) < 2:
         raise ValueError("need at least two updates")
     n = len(updates)
@@ -127,7 +130,13 @@ def layer_divergence(updates: Sequence[ClientUpdate]) -> dict[str, float]:
     out: dict[str, float] = {}
     for name, lo, length in updates[0].delta.schema.layers:
         cols = X[:, lo:lo + length]  # a strided view: BLAS reads it in place
-        out[name] = float(gram_cosine_distances(cols @ cols.T).sum()) / (n * (n - 1))
+        sq = row_dots(cols, cols)
+        norms = np.sqrt(sq)
+        # a zero unit vector gives each of its row's pairs cosine 0, which
+        # is exactly ZERO_NORM_DISTANCE = 1.0: degenerate rows need no case
+        inv = np.divide(1.0, norms, out=np.zeros(n), where=norms >= EPS_ZERO)
+        s = inv @ cols
+        out[name] = min(2.0, max(0.0, 1.0 - float(s @ s - inv @ (inv * sq)) / (n * (n - 1))))
     return out
 
 

@@ -88,6 +88,12 @@ class DatasetSpec:
                 raise ValueError("dataset counts must be positive")
             if self.test_per_class < 1:
                 raise ValueError("test_per_class must be positive")
+            if not 0.0 <= self.background <= 1.0:
+                raise ValueError("config key 'dataset.background' must lie in [0, 1]")
+            try:  # the run's patch trigger needs a square grid of side >= 3
+                corner_patch_trigger(self.dim)
+            except ValueError as exc:
+                raise ValueError(f"config key 'dataset.dim': {exc}") from None
         elif None in (self.labels_path, self.test_images_path, self.test_labels_path):
             raise ValueError("an IDX dataset needs all four file paths")
 
@@ -136,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.warmup_epochs < 0 or self.warmup_per_class < 1:
             raise ValueError("warmup fields must be non-negative / positive")
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be non-negative, not {self.seed}")
         n_layers = len(self.hidden_dims) + 1
         if set(self.filter.rescue_layers) - {f"fc{k + 1}" for k in range(n_layers)}:
             raise ValueError(

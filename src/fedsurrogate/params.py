@@ -1,5 +1,5 @@
-"""Flat parameter vectors with a named-layer schema, and the cosine
-geometry used by every stage of the pipeline.
+"""Flat parameter vectors with a named-layer schema, and the pairwise
+cosine and Euclidean distances of Stages 1 and 3, one dot per pair.
 
 All arithmetic is float64; vectors are frozen after construction so they
 can be shared across threads without copies.
@@ -140,33 +140,6 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - max(-1.0, min(1.0, cos))
 
 
-def _cosine_from_gram(G: np.ndarray, sq_norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Cosine distances from the rows ``rows`` of a Gram matrix, ``G``
-    of shape (len(rows), n), given every row's squared norm: see
-    ``gram_cosine_distances``."""
-    norms = np.sqrt(sq_norms)
-    ok = norms >= EPS_ZERO
-    scale = np.where(ok, norms, 1.0)
-    D = 1.0 - np.clip(G / np.outer(scale[rows], scale), -1.0, 1.0)
-    D[~ok[rows], :] = ZERO_NORM_DISTANCE
-    D[:, ~ok] = ZERO_NORM_DISTANCE
-    D[np.arange(len(rows)), rows] = 0.0
-    return D
-
-
-def gram_cosine_distances(G: np.ndarray) -> np.ndarray:
-    """Pairwise ``cosine_distance`` from a Gram matrix ``G = X @ X.T``:
-    1 - G_ij / (|x_i| |x_j|) with |x_i| = sqrt(G_ii), clipped to [0, 2].
-    Pairs with a degenerate norm get ZERO_NORM_DISTANCE; the diagonal
-    is 0.
-
-    A BLAS product ``X @ X.T`` may round the entries of identical rows
-    of X differently, so it suits sums of distances; where ties between
-    identical rows must stay exact, form G entry by entry, as
-    ``pairwise_distance_matrix`` does."""
-    return _cosine_from_gram(G, np.diag(G), np.arange(len(G)))
-
-
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A[k] . B[k] for every row k (B may be one row, shared). Each is a
     BLAS dot of its own, the sum ``np.dot`` and ``np.linalg.norm`` form
@@ -266,7 +239,13 @@ def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:
             np.matmul(X[None, :, None, :], picked[:, None, :, None], out=out[lo:hi])
 
     _split_rows(fill, len(rows), len(X), X.shape[1])
-    return _cosine_from_gram(G, row_dots(X, X), rows)
+    norms = np.sqrt(row_dots(X, X))
+    ok = norms >= EPS_ZERO
+    scale = np.where(ok, norms, 1.0)
+    D = 1.0 - np.clip(G / np.outer(scale[rows], scale), -1.0, 1.0)
+    D[~ok[rows], :] = D[:, ~ok] = ZERO_NORM_DISTANCE
+    D[np.arange(len(rows)), rows] = 0.0
+    return D
 
 
 def pairwise_distance_matrix(

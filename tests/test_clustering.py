@@ -146,6 +146,23 @@ class TestReferenceAgreement:
             b = hdbscan_reference(D, 3, 2, selection_epsilon=eps)
             assert a.labels == b.labels, eps
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_merge_distances_match_reference(self, seed):
+        # labels do not move when every merge distance is scaled, so the
+        # distances themselves are compared: planted blobs on even seeds,
+        # random points on odd ones
+        rng = np.random.default_rng(seed)
+        if seed % 2 == 0:
+            sizes = [int(rng.integers(3, 9)) for _ in range(int(rng.integers(1, 4)))]
+            D, _ = blob_matrix(sizes, intra=0.1, inter=1.0, seed=seed)
+        else:
+            pts = rng.uniform(0, 1, size=(int(rng.integers(4, 16)), 3))
+            D = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+        ms = int(rng.integers(1, min(4, len(D))))
+        _, dists = _single_linkage(_reachability(D, _core_distances(D, ms)))
+        _, naive = naive_merge_tree(mutual_reachability(D, ms))
+        assert sorted(dists) == sorted(naive.values())
+
 
 def merge_sequence(n, children, dists):
     """Each merge as (unordered pair of leaf sets, distance), in order."""

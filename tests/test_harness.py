@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -103,6 +104,19 @@ class TestSeedDerivation:
 
     def test_master_sensitivity(self):
         assert _derive_seed(7, 1) != _derive_seed(8, 1)
+
+
+@pytest.mark.parametrize("defense", harness.DEFENSES)
+@pytest.mark.parametrize("attack_kind", harness.ATTACKS)
+def test_run_raises_no_floating_point_warning(attack_kind, defense):
+    """A whole n=20 run of 10 rounds, with every numpy floating-point
+    warning raised as an error: no divide by zero, overflow or invalid
+    value anywhere in training, the defense or the metrics."""
+    cfg = dataclasses.replace(ExperimentConfig(), rounds=10, seed=5,
+                              attack_kind=attack_kind, defense=defense)
+    with np.errstate(all="raise"):
+        report = run_experiment(cfg)
+    assert len(report.records) == 10
 
 
 class TestConfigHash:
@@ -250,7 +264,7 @@ class TestCli:
 _OTHER = {
     "attack_kind": "dba", "defense": "fedavg", "lca.mode": "mad_threshold",
     "donor_metric": "euclidean", "variant": "stage1",
-    "filter.rescue_layers": ("fc2",), "hidden_dims": (24, 12),
+    "filter.rescue_layers": ("fc2",), "hidden_dims": (24, 12), "dataset.dim": 49,
 }
 _PATHS = [p for p in config_fields() if p.startswith("dataset.") and p.endswith("_path")]
 
@@ -312,6 +326,10 @@ class TestConfigSchema:
         ("pdr: 0.5\n", "'pdr'"),
         ("dataset: 3\n", "'dataset'"),
         ("alpha: " + "9" * 400 + "\n", "'alpha'"),
+        ("seed: -1\n", "'seed'"),
+        ("dataset:\n  dim: 10\n", "'dataset.dim'"),
+        ("dataset:\n  background: 2.0\n", "'dataset.background'"),
+        ("filter:\n  rescue_layers: [fc2, fc2]\n", "'filter.rescue_layers'"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.yaml"

@@ -197,3 +197,28 @@ def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
     assert outcome.critical_layers == updates[0].delta.schema.names
     scratch = params.EUCLIDEAN_BLOCK_ROWS * P * 8
     assert peak - scratch < 0.5 * n * P * 8
+
+
+def test_layer_divergence_at_n320_holds_no_pairwise_matrix():
+    """``layer_divergence`` over a read-only 320 x 2676 round matrix (the
+    default MLP's layers) peaks below one 320 x 320 float64 matrix above
+    its entry: it reads each layer's columns in place and keeps only
+    per-row and per-column vectors."""
+    schema = LayerSchema.from_lengths([("fc1", 2080), ("fc2", 528), ("fc3", 68)])
+    rng = np.random.default_rng(0)
+    n, P = 320, schema.total_length
+    g = ParameterVector(np.zeros(P), schema)
+    M = np.empty((n, P))
+    updates = [compute_update(ParameterVector(rng.standard_normal(P), schema), g,
+                              client_id=i, out=M[i]) for i in range(n)]
+    M.flags.writeable = False
+    assert round_matrix(updates) is M
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        divergence = defense.layer_divergence(updates)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert list(divergence) == ["fc1", "fc2", "fc3"]
+    assert peak < n * n * 8

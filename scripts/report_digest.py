@@ -6,12 +6,21 @@ lines. Two commits that print the same overall digest write the same
 report bytes for every config of the set, so a change meant to keep
 behaviour is checked by running, in each commit's checkout,
 
-    PYTHONPATH=src python scripts/report_digest.py
+    PYTHONPATH=src python scripts/report_digest.py [--expect HEX]
+
+With ``--expect HEX`` the script exits 1 when the overall digest is not
+HEX, naming on stderr each config whose line is not in the listing of
+``report_digests.txt`` beside it, which holds the output of a run whose
+overall digest is HEX. A change of behaviour on purpose rewrites that
+file with this script's output.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import sys
+from pathlib import Path
 from typing import Sequence
 
 from fedsurrogate.defense import LcaConfig
@@ -23,6 +32,8 @@ from fedsurrogate.harness import (
     report_to_json,
     run_experiment,
 )
+
+RECORDED = Path(__file__).with_name("report_digests.txt")
 
 # Stage 1 and Stage 3 settings other than the defaults, each run on seeds
 # 1 and 3 (under the default CBA attack)
@@ -53,19 +64,43 @@ def config_set() -> list[tuple[str, ExperimentConfig]]:
     return out
 
 
-def print_digests(configs: Sequence[tuple[str, ExperimentConfig]]) -> str:
+def print_digests(configs: Sequence[tuple[str, ExperimentConfig]],
+                  expect: str | None = None) -> str:
     """Run each config, print its report digest and name, then the
-    overall digest, which is returned."""
-    overall = hashlib.sha256()
+    overall digest, which is returned. When ``expect`` is given and the
+    overall digest is not it, each config whose line is not in
+    RECORDED is named on stderr."""
+    overall, lines = hashlib.sha256(), []
     for name, cfg in configs:
         report = run_experiment(cfg)
         digest = hashlib.sha256(
             (report_to_csv(report) + report_to_json(report)).encode()).hexdigest()
-        print(f"{digest}  {name}", flush=True)
-        overall.update(f"{digest}  {name}\n".encode())
+        lines.append(f"{digest}  {name}")
+        print(lines[-1], flush=True)
+        overall.update(f"{lines[-1]}\n".encode())
     print(f"{overall.hexdigest()}  overall")
+    if expect not in (None, overall.hexdigest()):
+        print(f"error: the overall digest is not {expect}", file=sys.stderr)
+        recorded = RECORDED.read_text().splitlines() if RECORDED.exists() else []
+        if f"{expect}  overall" not in recorded:
+            print(f"error: {RECORDED.name} holds no listing of {expect}, "
+                  "so the configs that differ are not named", file=sys.stderr)
+        else:
+            for line in lines:
+                if line not in recorded:
+                    print(f"differs: {line[66:]}", file=sys.stderr)
     return overall.hexdigest()
 
 
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="HEX", type=str.lower,
+                        help="exit 1, naming the configs that differ, unless the "
+                             "overall digest is HEX")
+    expect = parser.parse_args(argv).expect
+    overall = print_digests(config_set(), expect)
+    return int(expect is not None and overall != expect)
+
+
 if __name__ == "__main__":
-    print_digests(config_set())
+    sys.exit(main())

@@ -117,6 +117,20 @@ class PartitionPlan:
             seen.update(idx)
 
 
+def class_bits(num_classes: int, dim: int) -> tuple[int, int]:
+    """(informative coordinates, bits of a class index) of
+    ``generate_synthetic``'s class means, which cycle the index's bits
+    over the first half of the coordinates. Raises ValueError when that
+    half holds fewer coordinates than bits: two classes would share a
+    mean."""
+    informative = max(1, dim // 2)
+    bits_needed = max(1, (num_classes - 1).bit_length())
+    if informative < bits_needed:
+        raise ValueError(f"{num_classes} classes need dim >= {2 * bits_needed}, "
+                         "to give every class a distinct mean")
+    return informative, bits_needed
+
+
 def generate_synthetic(
     num_classes: int, dim: int, per_class: int, spread: float, seed: int,
     background: float = 0.35,
@@ -137,10 +151,7 @@ def generate_synthetic(
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise ValueError("counts must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x5D]))
-    informative = max(1, dim // 2)
-    bits_needed = max(1, (num_classes - 1).bit_length())
-    if informative < bits_needed:
-        raise ValueError("dim too small to give every class a distinct mean")
+    informative, bits_needed = class_bits(num_classes, dim)
     cols = np.arange(informative) % bits_needed
     signs = np.array(
         [2.0 * ((c >> cols) & 1) - 1.0 for c in range(num_classes)]

@@ -20,6 +20,7 @@ from .params import (
     EPS_ZERO,
     ClientUpdate,
     ParameterVector,
+    aligned_rows,
     cosine_distance_rows,
     pairwise_distance_matrix,
     row_dots,
@@ -211,33 +212,35 @@ def coarse_cluster(
 
 def round_matrix(updates: Sequence[ClientUpdate]) -> np.ndarray:
     """The clients' deltas as the rows of one (n, P) array, which the
-    caller must not write to. When the deltas are already the
-    consecutive rows, in order, of one read-only matrix, as
-    ``harness.run_experiment`` builds each round through
-    ``compute_update``'s ``out``, that matrix is returned without a
-    copy; otherwise the deltas are stacked into a new one."""
-    first = updates[0].delta.values
-    M = first.base
-    if (isinstance(M, np.ndarray) and not M.flags.writeable and M.flags.c_contiguous
-            and M.shape == (len(updates), first.size) and M.dtype == np.float64):
-        start, step = M.__array_interface__["data"][0], M.strides[0]
-        if all(u.delta.values.base is M
-               and u.delta.values.__array_interface__["data"][0] == start + i * step
-               for i, u in enumerate(updates)):
-            return M
-    return np.stack([u.delta.values for u in updates])
+    caller must not write to. When the deltas are already the rows, in
+    order and at one stride, of a read-only buffer that holds these n
+    rows and nothing more, as ``harness.run_experiment`` builds each
+    round (``params.aligned_rows`` and ``compute_update``'s ``out``),
+    their view of that buffer is returned without a copy; otherwise the
+    deltas are stacked into a new ``aligned_rows`` array."""
+    first, n = updates[0].delta.values, len(updates)
+    B = first.base
+    if n > 1 and isinstance(B, np.ndarray) and not B.flags.writeable:
+        start = first.ctypes.data
+        step = updates[1].delta.values.ctypes.data - start
+        if (n * step <= B.nbytes < (n + 1) * step
+                and all(u.delta.values.base is B and u.delta.values.ctypes.data == start + i * step
+                        for i, u in enumerate(updates))):
+            return np.ndarray((n, first.size), np.float64, buffer=B,
+                              offset=start - B.ctypes.data, strides=(step, first.itemsize))
+    return np.stack([u.delta.values for u in updates], out=aligned_rows(n, first.size))
 
 
 def _layer_rows(
     vectors: Sequence[ParameterVector], names: Sequence[str], out: np.ndarray | None = None
 ) -> np.ndarray:
-    """(n, width) array, ``out`` if given, whose row k holds the given
-    layers of ``vectors[k]``, in the order given: one column block per
-    layer, copied straight from the vectors, so no per-client copy is
-    made."""
+    """(n, width) ``aligned_rows`` array, or ``out`` if given, whose row
+    k holds the given layers of ``vectors[k]``, in the order given: one
+    column block per layer, copied straight from the vectors, so no
+    per-client copy is made."""
     spans = [vectors[0].schema.bounds(name) for name in names]
     if out is None:
-        out = np.empty((len(vectors), sum(hi - lo for lo, hi in spans)))
+        out = aligned_rows(len(vectors), sum(hi - lo for lo, hi in spans))
     col = 0
     for lo, hi in spans:
         np.stack([v.values[lo:hi] for v in vectors], out=out[:, col:col + hi - lo])
@@ -273,12 +276,15 @@ def alignment_scores(
         raise ValueError("total sample count must be positive")
     omega = counts / counts.sum()
     models = [u.model for u in updates]
-    W = _layer_rows(models, rescue_layers)
+    g_rescue = global_model.restricted(rescue_layers)
+    # contiguous, not aligned_rows: over padded rows of the default 596
+    # values numpy's broadcast subtracts below take over twice as long
+    W = _layer_rows(models, rescue_layers, out=np.empty((len(models), g_rescue.size)))
     w_star = omega @ W
     # the clients' steps W - global, then each client's deviation from
     # w_star, are each written over W (refilled in between), so the
     # stage holds one (n, width) array while Stage 1's features are held
-    g_star = omega @ np.subtract(W, global_model.restricted(rescue_layers), out=W)
+    g_star = omega @ np.subtract(W, g_rescue, out=W)
     g_norm = float(np.linalg.norm(g_star))
     diff = np.subtract(_layer_rows(models, rescue_layers, out=W), w_star, out=W)
     # the dots np.linalg.norm and np.dot take for one client, per row

@@ -33,6 +33,7 @@ from .attacks import (
 from .data import (
     Dataset,
     TriggerSpec,
+    class_bits,
     corner_patch_trigger,
     dirichlet_partition,
     generate_synthetic,
@@ -94,6 +95,10 @@ class DatasetSpec:
                 corner_patch_trigger(self.dim)
             except ValueError as exc:
                 raise ValueError(f"config key 'dataset.dim': {exc}") from None
+            try:
+                class_bits(self.num_classes, self.dim)
+            except ValueError as exc:
+                raise ValueError(f"config key 'dataset.num_classes': {exc}") from None
         elif None in (self.labels_path, self.test_images_path, self.test_labels_path):
             raise ValueError("an IDX dataset needs all four file paths")
 
@@ -396,16 +401,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     with RoundTrainers(train_client, parts, global_model.schema) as trainers:
         for rnd in range(cfg.rounds):
             models = trainers.round(rnd, global_model, prev_delta)
-            # the round's deltas, one row per client, read in place by the
-            # defense (defense.round_matrix) once made read-only
-            deltas = np.empty((cfg.n_clients, global_model.schema.total_length))
+            # the round's deltas, one cache-aligned row per client, read in
+            # place by the defense (defense.round_matrix) once their buffer
+            # is made read-only
+            deltas = params.aligned_rows(cfg.n_clients, global_model.schema.total_length)
             updates: list[ClientUpdate] = [
                 compute_update(model, global_model, client_id=cid,
                                sample_count=len(shards[cid]), true_role=roles[cid],
                                out=deltas[cid])
                 for cid, model in enumerate(models)
             ]
-            deltas.flags.writeable = False
+            deltas.base.flags.writeable = False
             before = global_model.values
             if cfg.defense == "fedsurrogate":
                 global_model, outcome, mem = fedsurrogate_round(

@@ -2,7 +2,11 @@
 cosine and Euclidean distances of Stages 1 and 3, one dot per pair.
 
 All arithmetic is float64; vectors are frozen after construction so they
-can be shared across threads without copies.
+can be shared across threads without copies. The (n, width) arrays the
+geometry reads and writes row by row (a round's deltas, feature copies,
+scratch blocks) come from ``aligned_rows``, whose rows each start on a
+64-byte boundary: numpy's vector loops run at about twice the speed
+over rows that do not split cache lines, and give the same bits.
 """
 from __future__ import annotations
 
@@ -152,6 +156,20 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 EUCLIDEAN_BLOCK_ROWS = 32
 
 
+def aligned_rows(n: int, width: int) -> np.ndarray:
+    """An uninitialised (n, width) float64 array whose rows each start on
+    a 64-byte boundary: its row stride is ``width`` rounded up to 8
+    values, and it is a view of a flat buffer (its ``.base``) that holds
+    at most 7 values more than its n strides. A row that does not start
+    on a cache line splits each 64-byte vector load of numpy's loops
+    across two lines, which about halves the speed of ``np.subtract``
+    over the row."""
+    stride = -(-width // 8) * 8
+    buf = np.empty(n * stride + 7)
+    start = -(buf.ctypes.data // 8) % 8
+    return buf[start:start + n * stride].reshape(n, stride)[:, :width]
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -165,8 +183,8 @@ def _split_rows(
 ) -> None:
     """Run ``fill(slice(k, count, w), buf)`` for k < w: output rows k,
     k + w, ... of ``count``, and a scratch buffer of
-    min(EUCLIDEAN_BLOCK_ROWS, count) rows of ``width`` for that part
-    alone. w is the number of CPUs this process may use, at most one
+    min(EUCLIDEAN_BLOCK_ROWS, count) aligned rows of ``width`` for that
+    part alone. w is the number of CPUs this process may use, at most one
     per EUCLIDEAN_BLOCK_ROWS rows of the n-row matrix and one per output
     row. With w = 1 (always when n <= EUCLIDEAN_BLOCK_ROWS) ``fill``
     runs on the calling thread; otherwise each part runs on a thread of
@@ -182,7 +200,9 @@ def _split_rows(
     which carries ``np.errstate``, and a part's exception is raised
     here."""
     w = max(1, min(_cpu_count(), -(-n // EUCLIDEAN_BLOCK_ROWS), count))
-    bufs = np.empty((w, min(EUCLIDEAN_BLOCK_ROWS, count), width))
+    block = min(EUCLIDEAN_BLOCK_ROWS, count)
+    rows = aligned_rows(w * block, width)
+    bufs = [rows[k * block:(k + 1) * block] for k in range(w)]
     if w == 1:
         fill(slice(0, count), bufs[0])
         return
@@ -234,8 +254,10 @@ def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:
         mine, out = rows[part], G[part, :, None, None]
         for lo in range(0, len(mine), EUCLIDEAN_BLOCK_ROWS):
             hi = min(lo + EUCLIDEAN_BLOCK_ROWS, len(mine))
-            # mode "raise" would write a temporary copy, not ``buf``
-            picked = np.take(X, mine[lo:hi], axis=0, out=buf[: hi - lo], mode="wrap")
+            # row by row: np.take would copy a padded X whole first
+            picked = buf[: hi - lo]
+            for k, r in enumerate(mine[lo:hi]):
+                picked[k] = X[r]
             np.matmul(X[None, :, None, :], picked[:, None, :, None], out=out[lo:hi])
 
     _split_rows(fill, len(rows), len(X), X.shape[1])
@@ -287,12 +309,13 @@ def compute_update(
     """Client delta = model - global, packaged with metadata.
 
     ``out``, when given, is a writeable C-contiguous float64 array of the
-    schema's length, typically one row of a round's (n, P) delta matrix.
-    The delta is written into it and ``delta.values`` is a read-only
-    view of it, not a copy. The caller must not write to ``out`` again;
-    making the whole matrix read-only once every row is filled (as
-    ``harness.run_experiment`` does) keeps the delta frozen, and lets
-    the defense read the matrix in place (``defense.round_matrix``)."""
+    schema's length, typically one row of a round's (n, P) delta matrix
+    from ``aligned_rows``. The delta is written into it and
+    ``delta.values`` is a read-only view of it, not a copy. The caller
+    must not write to ``out`` again; making the matrix's buffer
+    read-only once every row is filled (as ``harness.run_experiment``
+    does) keeps the delta frozen, and lets the defense read the rows in
+    place (``defense.round_matrix``)."""
     if model.schema != global_model.schema:
         raise SchemaError("model and global schemas differ")
     if out is None:

@@ -317,6 +317,35 @@ def test_small_matrices_do_not_import_the_thread_pool():
     assert proc.stdout.strip() == "False"
 
 
+def _layouts(X):
+    """Copies of X's rows: plain contiguous, 8 bytes off a 64-byte
+    boundary, and in read-only ``aligned_rows``."""
+    n, width = X.shape
+    off = np.empty(n * width + 8)
+    off = off[(-(off.ctypes.data // 8) + 1) % 8:][:n * width].reshape(n, width)
+    aligned = params.aligned_rows(n, width)
+    for copy in (off, aligned):
+        copy[:] = X
+    aligned.base.flags.writeable = False
+    return np.ascontiguousarray(X.copy()), off, aligned
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("width", [37, 2676])
+@pytest.mark.parametrize("n", [2, 33, 70])
+def test_geometry_bits_do_not_depend_on_row_alignment(n, width, cpus, monkeypatch):
+    monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
+    X = random_rows(n + width, width, n=n)
+    rows = list(range(0, n, 3))
+    plain, off, aligned = _layouts(X)
+    assert off.ctypes.data % 64 == 8
+    assert all(row.ctypes.data % 64 == 0 for row in aligned)
+    got = [(pairwise_distance_matrix(Y, "cosine").tobytes(),
+            pairwise_distance_matrix(Y, "euclidean").tobytes(),
+            cosine_distance_rows(Y, rows).tobytes()) for Y in (plain, off, aligned)]
+    assert got[0] == got[1] == got[2]
+
+
 @pytest.mark.parametrize("which", ["euclidean", "cosine_rows"])
 def test_overflow_in_a_worker_raises(which, monkeypatch, pools):
     monkeypatch.setattr(params, "_cpu_count", lambda: 2)

@@ -329,6 +329,7 @@ class TestConfigSchema:
         ("seed: -1\n", "'seed'"),
         ("dataset:\n  dim: 10\n", "'dataset.dim'"),
         ("dataset:\n  background: 2.0\n", "'dataset.background'"),
+        ("dataset:\n  num_classes: 20\n  dim: 9\n", "'dataset.num_classes'"),
         ("filter:\n  rescue_layers: [fc2, fc2]\n", "'filter.rescue_layers'"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):

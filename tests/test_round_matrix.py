@@ -1,11 +1,12 @@
 """The round's deltas as one read-only (n, P) matrix.
 
-``harness.run_experiment`` writes every client's delta into a row of one
-matrix per round (``compute_update``'s ``out``), and the defense reads
-that matrix in place (``defense.round_matrix``) instead of stacking
-copies. These tests check the harness builds it so, that the defense
-gives the same bits from the matrix as from loose copies, and that a
-round over the matrix holds no (n, P) copy of it.
+``harness.run_experiment`` writes every client's delta into a
+64-byte-aligned row of one buffer per round (``params.aligned_rows`` and
+``compute_update``'s ``out``), and the defense reads those rows in place
+(``defense.round_matrix``) instead of stacking copies. These tests check
+the harness builds it so, that the defense gives the same bits from the
+matrix as from loose copies, and that a round over the matrix holds no
+(n, P) copy of it.
 """
 import tracemalloc
 
@@ -21,7 +22,7 @@ from fedsurrogate.defense import (
     fedsurrogate_round,
     round_matrix,
 )
-from fedsurrogate.params import LayerSchema, ParameterVector, compute_update
+from fedsurrogate.params import LayerSchema, ParameterVector, aligned_rows, compute_update
 
 SCHEMA = LayerSchema.from_lengths([("fc1", 24), ("fc2", 9), ("fc3", 4)])
 
@@ -46,36 +47,43 @@ def test_harness_deltas_are_read_only_views_of_one_read_only_matrix(monkeypatch)
         dataset=harness.DatasetSpec(per_class=40, test_per_class=10))
     rounds = _capture_rounds(monkeypatch, cfg)
     assert len(rounds) == 2
-    matrices = []
+    buffers = []
     for updates, global_model in rounds:
-        M = updates[0].delta.values.base
-        assert isinstance(M, np.ndarray) and M.shape == (6, updates[0].delta.schema.total_length)
+        B = updates[0].delta.values.base
+        assert isinstance(B, np.ndarray) and not B.flags.writeable
+        M = round_matrix(updates)
+        assert M.shape == (6, updates[0].delta.schema.total_length) and M.base is B
         assert not M.flags.writeable
         for i, u in enumerate(updates):
-            assert u.delta.values.base is M
-            assert np.shares_memory(u.delta.values, M[i]) and not u.delta.values.flags.writeable
+            assert u.delta.values.base is B and u.delta.values.ctypes.data % 64 == 0
+            assert M[i].ctypes.data == u.delta.values.ctypes.data
+            assert not u.delta.values.flags.writeable
             assert np.array_equal(u.delta.values, u.model.values - global_model.values)
             with pytest.raises(ValueError):
                 u.delta.values.flags.writeable = True
-        assert round_matrix(updates) is M
-        matrices.append(M)
-    assert matrices[0] is not matrices[1]
+        buffers.append(B)
+    assert buffers[0] is not buffers[1]
 
 
 def test_round_matrix_stacks_whatever_is_not_its_rows_in_order():
     rng = np.random.default_rng(0)
     g = ParameterVector(np.zeros(SCHEMA.total_length), SCHEMA)
     models = [ParameterVector(rng.standard_normal(SCHEMA.total_length), SCHEMA) for _ in range(4)]
-    M = np.empty((4, SCHEMA.total_length))
-    updates = [compute_update(m, g, client_id=i, out=M[i]) for i, m in enumerate(models)]
-    assert round_matrix(updates) is not M    # still writeable: not yet the round's
-    M.flags.writeable = False
-    assert round_matrix(updates) is M
-    loose = [compute_update(m, g, client_id=i) for i, m in enumerate(models)]
-    for other in (loose, updates[::-1], updates[:3], updates[1:], [updates[0], loose[1]]):
-        got = round_matrix(other)
-        assert got is not M and not np.shares_memory(got, M)
-        assert np.array_equal(got, np.stack([u.delta.values for u in other]))
+    for M in (aligned_rows(4, SCHEMA.total_length), np.empty((4, SCHEMA.total_length))):
+        B = M if M.base is None else M.base
+        updates = [compute_update(m, g, client_id=i, out=M[i]) for i, m in enumerate(models)]
+        # still writeable: not yet the round's
+        assert not np.shares_memory(round_matrix(updates), M)
+        B.flags.writeable = False
+        got = round_matrix(updates)
+        assert got.base is B and np.shares_memory(got, M) and np.array_equal(got, M)
+        assert all(got[i].ctypes.data == M[i].ctypes.data for i in range(4))
+        loose = [compute_update(m, g, client_id=i) for i, m in enumerate(models)]
+        for other in (loose, updates[::-1], updates[:3], updates[1:], [updates[0], loose[1]]):
+            got = round_matrix(other)
+            assert not np.shares_memory(got, M)
+            assert all(row.ctypes.data % 64 == 0 for row in got)
+            assert np.array_equal(got, np.stack([u.delta.values for u in other]))
 
 
 def _round(seed):
@@ -98,10 +106,10 @@ def _round(seed):
 
 
 def _as_matrix(g, models, counts):
-    M = np.empty((len(models), SCHEMA.total_length))
+    M = aligned_rows(len(models), SCHEMA.total_length)
     updates = [compute_update(m, g, client_id=i, sample_count=c, out=M[i])
                for i, (m, c) in enumerate(zip(models, counts))]
-    M.flags.writeable = False
+    M.base.flags.writeable = False
     return updates, M
 
 
@@ -158,10 +166,11 @@ def test_the_default_round_reads_the_matrix_in_place(monkeypatch):
                         lambda X, metric: seen.append(X) or real(X, metric))
     fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=5),
                        FilterConfig(rescue_layers=("fc3",)), AggregationWeights())
-    assert seen and seen[0] is M
+    assert seen and seen[0].base is M.base and seen[0].shape == M.shape
+    assert seen[0].ctypes.data == M.ctypes.data and seen[0].strides == M.strides
     fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=2),
                        FilterConfig(rescue_layers=("fc3",)), AggregationWeights())
-    assert seen[1] is not M and seen[1].shape == (len(models), 33)
+    assert not np.shares_memory(seen[1], M) and seen[1].shape == (len(models), 33)
 
 
 def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
@@ -185,7 +194,7 @@ def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
     (a, k), = args
     updates = a[0]
     n, P = len(updates), updates[0].delta.schema.total_length
-    assert round_matrix(updates) is updates[0].delta.values.base
+    assert round_matrix(updates).base is updates[0].delta.values.base
     monkeypatch.setattr(params, "_cpu_count", lambda: 1)
     tracemalloc.start()
     try:
@@ -208,11 +217,11 @@ def test_layer_divergence_at_n320_holds_no_pairwise_matrix():
     rng = np.random.default_rng(0)
     n, P = 320, schema.total_length
     g = ParameterVector(np.zeros(P), schema)
-    M = np.empty((n, P))
+    M = aligned_rows(n, P)
     updates = [compute_update(ParameterVector(rng.standard_normal(P), schema), g,
                               client_id=i, out=M[i]) for i in range(n)]
-    M.flags.writeable = False
-    assert round_matrix(updates) is M
+    M.base.flags.writeable = False
+    assert round_matrix(updates).base is M.base
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -222,3 +231,26 @@ def test_layer_divergence_at_n320_holds_no_pairwise_matrix():
         tracemalloc.stop()
     assert list(divergence) == ["fc1", "fc2", "fc3"]
     assert peak < n * n * 8
+
+
+def test_cosine_rows_of_a_padded_round_matrix_copy_no_matrix(monkeypatch):
+    """``cosine_distance_rows`` over a read-only 320 x 2676 matrix in
+    ``aligned_rows`` (the round's layout, as Stage 3 reads it for the
+    flagged clients) peaks below two scratch blocks of
+    EUCLIDEAN_BLOCK_ROWS rows above its entry: it gathers its rows one
+    at a time, where ``np.take`` would copy the padded matrix whole
+    first."""
+    monkeypatch.setattr(params, "_cpu_count", lambda: 1)
+    n, P = 320, 2676
+    X = aligned_rows(n, P)
+    X[:] = np.random.default_rng(0).standard_normal((n, P))
+    X.base.flags.writeable = False
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        D = params.cosine_distance_rows(X, range(0, n, 5))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert D.shape == (64, n)
+    assert peak < 2 * params.EUCLIDEAN_BLOCK_ROWS * P * 8

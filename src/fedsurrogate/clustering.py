@@ -232,7 +232,8 @@ def _select_eom(
     point_cluster: list[int],
     point_lambda: list[float],
 ) -> list[int]:
-    """Excess-of-mass cluster selection; returns selected cluster ids."""
+    """Excess-of-mass cluster selection; returns the selected cluster
+    that owns each cluster, or -1 for a cluster no selected one holds."""
     m = len(cluster_parent)
     stability = [0.0] * m
     subtree_points = [0] * m
@@ -258,21 +259,16 @@ def _select_eom(
         else:
             best[cid] = stability[cid]
             selected_here[cid] = True
-    # keep only the shallowest selected cluster on each root-to-leaf path
-    selected: list[int] = []
-    for cid in range(m):
-        if not selected_here[cid]:
-            continue
-        c = cluster_parent[cid]
-        shadowed = False
-        while c != -1:
-            if selected_here[c]:
-                shadowed = True
-                break
-            c = cluster_parent[c]
-        if not shadowed:
-            selected.append(cid)
-    return selected
+    # each cluster's owner is the shallowest selected cluster on its
+    # root path, itself included, or -1
+    owner = [-1] * m
+    for cid in range(m):  # a parent's id is below its children's
+        par = cluster_parent[cid]
+        if par != -1 and owner[par] != -1:
+            owner[cid] = owner[par]
+        elif selected_here[cid]:
+            owner[cid] = cid
+    return owner
 
 
 ROOT_TRIM_MAD_MULTIPLIER = 3.0
@@ -316,26 +312,15 @@ def hdbscan(
     cparent, cbirth, pcluster, plambda = _condense(
         n, children, dists, min_cluster_size, selection_epsilon
     )
-    selected = _select_eom(cparent, cbirth, pcluster, plambda)
-
-    labels = [-1] * n
-    label_of = {cid: k for k, cid in enumerate(sorted(selected))}
-    for p in range(n):
-        c = pcluster[p]
-        while c != -1:
-            if c in label_of:
-                labels[p] = label_of[c]
-                break
-            c = cparent[c]
-    if 0 in selected:
-        # root selected: trim sparse strays by the core-distance fence
-        root_label = label_of[0]
+    owner = _select_eom(cparent, cbirth, pcluster, plambda)
+    labels = [owner[c] for c in pcluster]
+    if owner[0] == 0:
+        # root selected, so it owns every point: trim sparse strays by
+        # the core-distance fence
         keep = _mad_keep(core)
-        for p in range(n):
-            if labels[p] == root_label and not keep[p]:
-                labels[p] = -1
-        if sum(1 for lbl in labels if lbl == root_label) < min_cluster_size:
-            labels = [-1 if lbl == root_label else lbl for lbl in labels]
+        labels = [-1 if lbl == 0 and not keep[p] else lbl for p, lbl in enumerate(labels)]
+        if labels.count(0) < min_cluster_size:
+            labels = [-1] * n
 
     return _canonical_result(labels)
 

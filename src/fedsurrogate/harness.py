@@ -243,7 +243,6 @@ class RoundRecord:
 @dataclass(frozen=True)
 class RunReport:
     config: ExperimentConfig
-    seed: int
     records: tuple[RoundRecord, ...]
     tpr: float
     fpr: float
@@ -253,6 +252,10 @@ class RunReport:
     def __post_init__(self):
         if len(self.records) != self.config.rounds:
             raise ValueError("rounds recorded must equal configured rounds")
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     @property
     def final_mta(self) -> float:
@@ -324,7 +327,6 @@ def _train_one(
     cid: int,
     rnd: int,
     malicious: bool,
-    attacker_index: int,
     prev_delta: np.ndarray | None,
 ) -> ParameterVector:
     tcfg = TrainConfig(
@@ -340,7 +342,8 @@ def _train_one(
     if kind == "cba":
         return cba_train(arch, global_model, shard, trigger, tcfg, attack)
     if kind == "dba":
-        return dba_train(arch, global_model, shard, trigger, tcfg, attack, attacker_index)
+        # attackers are clients 0..n_mal-1, so a client's id is its attacker index
+        return dba_train(arch, global_model, shard, trigger, tcfg, attack, cid)
     if kind == "neurotoxin":
         return neurotoxin_train(arch, global_model, shard, trigger, tcfg, attack, prev_delta)
     if kind == "csa":
@@ -385,9 +388,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
     def train_client(cid: int, rnd: int, global_model: ParameterVector,
                      prev_delta: np.ndarray | None) -> ParameterVector:
-        # attackers are clients 0..n_mal-1, so a client's id is its attacker index
         return _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
-                          roles[cid] is Role.MALICIOUS, cid, prev_delta)
+                          roles[cid] is Role.MALICIOUS, prev_delta)
 
     hooked = (cba_train, dba_train, neurotoxin_train, csa_train, cla_train) != _ATTACK_TRAINERS
     alone = threading.active_count() == 1 and not hooked
@@ -446,7 +448,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     tpr, fpr = rates(tally)
     return RunReport(
         config=cfg,
-        seed=cfg.seed,
         records=tuple(records),
         tpr=tpr,
         fpr=fpr,

@@ -6,27 +6,32 @@ Threads cannot split training: numpy holds the GIL in matmuls this
 small. ``RoundTrainers`` trains part 0 on the calling thread and each
 other part in a worker process forked once per experiment, right after
 the model warm-up, so an experiment stopped during set-up forks
-nothing. Every round it writes each worker one message over a pipe: the
-round number, the global model and Neurotoxin's previous global delta.
-The worker trains all its clients, then writes back a status byte and
-the raw float64 models (writing each as it is trained would stall the
-worker, since a 64 KB pipe holds three models). They are read with
-``readinto`` into fresh read-only arrays that ``ParameterVector`` wraps
-without a copy. The updates, the round matrix, the defense and the
-evaluation stay in the calling process.
+nothing. Every round it sends each worker one pickled command over a
+pipe: the round number, the global model and Neurotoxin's previous
+global delta. The worker trains all its clients, then sends back one
+pickled reply, its models or its failure (sending each model as it is
+trained would stall the worker, since a 64 KB pipe holds three models).
+Both travel as pickle protocol 5, which loads a read-only float64 array
+as a read-only array over the bytes it was read into, so
+``ParameterVector`` wraps each model without a copy. The updates, the
+round matrix, the defense and the evaluation stay in the calling
+process.
 
 Bytes. A client's training is a pure function of the global model, the
-previous global delta, its shard and its derived seed, and the models
-travel as raw bits, so the report's bytes do not depend on w. Pipes are
-the only channel: a memory block reused across rounds would be
-rewritten under the models a caller still holds from an earlier round.
+previous global delta, its shard and its derived seed, and pickle
+carries the models' float64 bits as they are, so the report's bytes do
+not depend on w. Pipes are the only channel: a memory block reused
+across rounds would be rewritten under the models a caller still holds
+from an earlier round.
 
 Failures. Each part trains in id order and stops at its first failing
 client, and the exception of the lowest failing id is raised, as with
-one part; a worker's is pickled back with its traceback as a note. An
-error, a ``KeyboardInterrupt`` or a worker's death ends the run with an
-exception, not a hang: the workers are killed and reaped, so no child
-is left. Workers ignore SIGINT (the calling process owns the interrupt)
+one part; a worker's is pickled back with its traceback as a note. One
+that does not pickle comes back as a ``RuntimeError`` with its type and
+message, and one that does not unpickle as a ``RuntimeError`` naming
+its client. An error, a ``KeyboardInterrupt`` or a worker's death ends
+the run with an exception, not a hang: the workers are killed and
+reaped, so no child is left. Workers ignore SIGINT (the calling process owns the interrupt)
 and leave through ``os._exit`` when their command pipe closes, so none
 returns into its caller's stack.
 
@@ -47,14 +52,13 @@ alone sees the warm-up and part 0's clients only.
 """
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 import pickle
 import signal
-import struct
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -62,10 +66,6 @@ from .params import LayerSchema, ParameterVector
 
 # (client id, round, global model, previous global delta) -> trained model
 Train = Callable[[int, int, ParameterVector, "np.ndarray | None"], ParameterVector]
-
-_COMMAND = struct.Struct("<q?")     # round, whether a previous global delta follows
-_FAILURE = struct.Struct("<qQ")     # failed client, length of its pickled exception
-_OK, _FAILED = b"\x00", b"\x01"
 
 
 def _train_part(train: Train, clients: Sequence[int], rnd: int,
@@ -81,65 +81,44 @@ def _train_part(train: Train, clients: Sequence[int], rnd: int,
     return models, None
 
 
-def _write_all(f: io.FileIO, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[f.write(view):]
+def _send(f: BinaryIO, message) -> None:
+    pickle.dump(message, f, protocol=5)
+    f.flush()
 
 
-def _read_exact(f: io.FileIO, buf) -> None:
-    view = memoryview(buf).cast("B")
-    while view:
-        got = f.readinto(view)
-        if not got:
-            raise EOFError("pipe closed mid-message")
-        view = view[got:]
-
-
-def _read_array(f: io.FileIO, length: int) -> np.ndarray:
-    """``length`` float64 values from ``f`` in a fresh read-only array."""
-    values = np.empty(length)
-    _read_exact(f, values)
-    values.flags.writeable = False
-    return values
-
-
-def _serve(cmd: io.FileIO, res: io.FileIO, clients: Sequence[int], train: Train,
+def _serve(cmd: BinaryIO, res: BinaryIO, clients: Sequence[int], train: Train,
            schema: LayerSchema) -> None:
     """A worker's loop: one reply per command until the command pipe
-    closes. A client's exception is pickled back, with the worker's
-    traceback as a note, and the worker waits for the next command."""
-    header = bytearray(_COMMAND.size)
+    closes. A command is (round, global model values, previous global
+    delta or None); a reply is (model values, None) or, at the part's
+    first failing client, ([], (client, its pickled exception)). The
+    exception carries the worker's traceback as a note, and the worker
+    waits for the next command."""
     while True:
         try:
-            _read_exact(cmd, header)
+            rnd, values, prev_delta = pickle.load(cmd)
         except EOFError:
             return
-        rnd, has_prev = _COMMAND.unpack(header)
-        global_model = ParameterVector(_read_array(cmd, schema.total_length), schema)
-        prev_delta = _read_array(cmd, schema.total_length) if has_prev else None
-        models, failure = _train_part(train, clients, rnd, global_model, prev_delta)
-        if failure is None:
-            _write_all(res, _OK)
-            for model in models:
-                _write_all(res, model.values)
-            continue
-        cid, exc = failure
-        exc.add_note(f"raised training client {cid} in worker process {os.getpid()}:\n"
-                     + "".join(traceback.format_exception(exc)))
-        try:
-            blob = pickle.dumps(exc)
-        except Exception:
-            blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        _write_all(res, _FAILED + _FAILURE.pack(cid, len(blob)) + blob)
+        models, failure = _train_part(train, clients, rnd, ParameterVector(values, schema),
+                                      prev_delta)
+        if failure is not None:
+            cid, exc = failure
+            exc.add_note(f"raised training client {cid} in worker process {os.getpid()}:\n"
+                         + "".join(traceback.format_exception(exc)))
+            try:
+                blob = pickle.dumps(exc)
+            except Exception:
+                blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            models, failure = [], (cid, blob)
+        _send(res, ([m.values for m in models], failure))
 
 
 @dataclass
 class _Worker:
     pid: int
     clients: list[int]
-    cmd: io.FileIO      # the parent's write end of the command pipe
-    res: io.FileIO      # the parent's read end of the reply pipe
+    cmd: BinaryIO       # the parent's write end of the command pipe
+    res: BinaryIO       # the parent's read end of the reply pipe
     reaped: bool = False
 
 
@@ -185,7 +164,7 @@ class RoundTrainers:
                 for other in self._workers:   # their parent ends, inherited
                     other.cmd.close()
                     other.res.close()
-                with io.FileIO(cmd_r, "rb") as cmd, io.FileIO(res_w, "wb") as res:
+                with open(cmd_r, "rb") as cmd, open(res_w, "wb") as res:
                     _serve(cmd, res, clients, self._train, self._schema)
                 code = 0
             except BaseException:
@@ -194,13 +173,16 @@ class RoundTrainers:
                 os._exit(code)
         os.close(cmd_r)
         os.close(res_w)
-        return _Worker(pid, clients, io.FileIO(cmd_w, "wb"), io.FileIO(res_r, "rb"))
+        return _Worker(pid, clients, open(cmd_w, "wb"), open(res_r, "rb"))
 
     def _close(self, kill: bool) -> None:
         for w in self._workers:
             if kill and not w.reaped:
                 os.kill(w.pid, signal.SIGKILL)
-            w.cmd.close()
+            # a command a dead worker left unread fails to flush; the
+            # pipe is closed all the same
+            with contextlib.suppress(BrokenPipeError):
+                w.cmd.close()
             w.res.close()
         for w in self._workers:
             if not w.reaped:
@@ -213,14 +195,9 @@ class RoundTrainers:
         clients fail, the exception of the lowest failing id is raised,
         as training them one by one in id order would raise it: each
         part trains in id order and stops at its first failure."""
-        if prev_delta is not None:
-            prev_delta = np.ascontiguousarray(prev_delta, dtype=np.float64)
         for w in self._workers:
             try:
-                _write_all(w.cmd, _COMMAND.pack(rnd, prev_delta is not None))
-                _write_all(w.cmd, global_model.values)
-                if prev_delta is not None:
-                    _write_all(w.cmd, prev_delta)
+                _send(w.cmd, (rnd, global_model.values, prev_delta))
             except BrokenPipeError:
                 raise self._ended(w, rnd) from None
         replies = [(self._parts[0], *_train_part(
@@ -245,21 +222,16 @@ class RoundTrainers:
             f"(exit code {os.waitstatus_to_exitcode(status)})")
 
     def _reply(self, w: _Worker, rnd: int):
-        """A worker's reply to round ``rnd``: (models, failure or None)."""
-        status = bytearray(1)
+        """A worker's reply to round ``rnd``: (models, failure or None).
+        A worker that died mid-reply leaves a truncated pickle, which
+        raises ``UnpicklingError`` or ``EOFError``."""
         try:
-            _read_exact(w.res, status)
-            if status == _OK:
-                length = self._schema.total_length
-                return [ParameterVector(_read_array(w.res, length), self._schema)
-                        for _ in w.clients], None
-            head = bytearray(_FAILURE.size)
-            _read_exact(w.res, head)
-            cid, size = _FAILURE.unpack(head)
-            blob = bytearray(size)
-            _read_exact(w.res, blob)
-        except EOFError:
+            values, failure = pickle.load(w.res)
+        except (EOFError, pickle.UnpicklingError):
             raise self._ended(w, rnd) from None
+        if failure is None:
+            return [ParameterVector(v, self._schema) for v in values], None
+        cid, blob = failure
         try:
             exc = pickle.loads(blob)
         except Exception:

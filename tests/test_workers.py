@@ -11,7 +11,11 @@ stack.
 """
 import dataclasses
 import os
+import pickle
+import re
 import signal
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -215,6 +219,13 @@ def test_a_worker_s_base_exception_ends_it_not_its_caller(monkeypatch, forks, re
     assert_no_child_left()
 
 
+class NeedsTwo(Exception):
+    """Pickles as ``NeedsTwo(message)``, which its ``__init__`` rejects."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 class TestFailures:
     @staticmethod
     def raised(monkeypatch, cfg, w):
@@ -261,6 +272,32 @@ class TestFailures:
         (note,) = info.value.__notes__
         assert note.startswith("raised training client ") and "train_one" in note
         assert_no_child_left()
+
+    @staticmethod
+    def raise_in_workers(monkeypatch, make_exception):
+        parent = os.getpid()
+        real = harness._train_one
+
+        def train_one(*args):
+            if os.getpid() != parent:
+                raise make_exception()
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_train_one", train_one)
+
+    def test_an_exception_that_cannot_be_pickled(self, monkeypatch):
+        class Local(Exception):   # pickled by a name no import finds
+            pass
+
+        self.raise_in_workers(monkeypatch, lambda: Local("in a worker"))
+        assert self.raised(monkeypatch, small(), 2) == (RuntimeError, "Local: in a worker")
+
+    def test_an_exception_that_cannot_be_unpickled(self, monkeypatch):
+        self.raise_in_workers(monkeypatch, lambda: NeedsTwo("in a", "worker"))
+        kind, message = self.raised(monkeypatch, small(), 2)
+        assert kind is RuntimeError
+        assert re.fullmatch(r"training client 1 failed in worker process \d+, "
+                            r"and its exception could not be unpickled", message)
 
     def test_server_step_exception_mid_run(self, monkeypatch, forks, reaped):
         real = harness.fedsurrogate_round
@@ -364,3 +401,81 @@ def test_worker_dead_between_rounds(monkeypatch, forks):
     with pytest.raises(RuntimeError, match=r"ended in round 1 without replying \(exit code -9\)"):
         run_with_parts(monkeypatch, small(), 2)
     assert_no_child_left()
+
+
+# A truncated pickle stream raises EOFError when it ends before the first
+# opcode and UnpicklingError when it ends inside the message.
+@pytest.mark.parametrize("kept", [0, 0.5], ids=["nothing", "half"])
+def test_worker_dead_mid_reply(monkeypatch, forks, kept):
+    """A worker that writes part of its reply to round 1, then exits."""
+    parent = os.getpid()
+    real = pickle.dump
+    replies = []
+
+    def dump(obj, file, protocol=None):
+        if os.getpid() != parent:
+            replies.append(obj)
+            if len(replies) == 2:
+                blob = pickle.dumps(obj, protocol)
+                file.write(blob[:int(len(blob) * kept)])
+                file.flush()
+                os._exit(3)
+        real(obj, file, protocol)
+
+    monkeypatch.setattr(pickle, "dump", dump)
+    with pytest.raises(RuntimeError, match=r"ended in round 1 without replying \(exit code 3\)"):
+        run_with_parts(monkeypatch, small(), 2)
+    if os.getpid() != parent:
+        os._exit(99)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+# Runs a clean experiment in two parts, then one whose worker is killed
+# between rounds. The killed run's model (166 values) is small enough for
+# its round-1 command to fit in the pipe file's buffer (the pipe's block
+# size, 4096 bytes on Linux), so the command is still buffered when its
+# write fails.
+LEAK_CHECK = """
+import dataclasses, gc, os, signal
+from fedsurrogate import harness, params
+from fedsurrogate.harness import DatasetSpec, ExperimentConfig
+
+params._cpu_count = lambda: 2
+cfg = dataclasses.replace(ExperimentConfig(), n_clients=6, rounds=3, warmup_epochs=1,
+                          dataset=DatasetSpec(per_class=40, test_per_class=10))
+print(len(harness.run_experiment(cfg).records))
+
+pids = []
+real_fork, real_step = os.fork, harness.fedsurrogate_round
+
+def fork():
+    pids.append(real_fork())
+    return pids[-1]
+
+def step(*args, **kwargs):
+    os.kill(pids[-1], signal.SIGKILL)
+    os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
+    return real_step(*args, **kwargs)
+
+os.fork, harness.fedsurrogate_round = fork, step
+try:
+    harness.run_experiment(dataclasses.replace(cfg, hidden_dims=(2, 2)))
+except RuntimeError as exc:
+    print(exc)
+gc.collect()
+"""
+
+
+def test_no_pipe_file_is_left_unclosed():
+    """Python prints a ResourceWarning raised in a destructor as
+    "Exception ignored" and still exits 0, so stderr is read too."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", LEAK_CHECK],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    clean, killed = proc.stdout.splitlines()
+    assert clean == "3"
+    assert re.fullmatch(r"training worker process \d+ ended in round 1 without replying "
+                        r"\(exit code -9\)", killed)
+    assert "ResourceWarning" not in proc.stderr

@@ -18,12 +18,17 @@ Conventions (fixed so results are bit-deterministic):
     proper cluster instead, so the fence only ever has to reject sparse
     strays.
 
+Condensing is one stack walk whose entries carry the lambda at which
+their points exit (None on a cluster's spine); it records each cluster's
+size at birth for the stability sums. A result keeps the labels only.
+
 The test oracle, a naive implementation that shares no helper with
 this module (repeated matrix-scan merging, recursive condensing), is
 ``tests/hdbscan_oracle.py``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,15 +40,11 @@ _LAMBDA_EPS = 1e-12
 @dataclass(frozen=True)
 class ClusterResult:
     labels: tuple[int, ...]           # cluster id >= 0, or -1 for noise
-    cluster_sizes: dict[int, int]
 
-    def __post_init__(self):
-        counts: dict[int, int] = {}
-        for lbl in self.labels:
-            if lbl >= 0:
-                counts[lbl] = counts.get(lbl, 0) + 1
-        if counts != self.cluster_sizes:
-            raise ValueError("cluster_sizes inconsistent with labels")
+    @property
+    def cluster_sizes(self) -> dict[int, int]:
+        """Points per cluster id, counted from the labels."""
+        return dict(Counter(lbl for lbl in self.labels if lbl >= 0))
 
 
 # Rows of D compared with their transposed columns at a time by
@@ -162,73 +163,67 @@ def _condense(
 ):
     """Walk the merge tree top-down, producing the condensed cluster tree.
 
+    A dropped side or a dying cluster is pushed with its exit lambda,
+    which the walk hands down to every point below it.
+
     Returns:
       cluster_parent: parent cluster id per cluster (root has -1)
       cluster_birth: birth lambda per cluster
+      cluster_size: number of points per cluster at its birth
       point_cluster: deepest cluster id per point
       point_lambda: lambda at which the point exits that cluster
     """
-    def subtree_size(node: int) -> int:
-        return 1 if node < n else sizes[node - n]
-
-    sizes = [0] * len(children)
-    for k, (a, b) in enumerate(children):
-        sizes[k] = subtree_size(a) + subtree_size(b)
-
-    def leaves(node: int) -> list[int]:
-        out, stack = [], [node]
-        while stack:
-            v = stack.pop()
-            if v < n:
-                out.append(v)
-            else:
-                stack.extend(children[v - n])
-        return out
+    node_size = [1] * n  # points under each merge-tree node
+    for a, b in children:
+        node_size.append(node_size[a] + node_size[b])
 
     cluster_parent = [-1]
     cluster_birth = [0.0]
+    cluster_size = [n]
     point_cluster = [0] * n
     point_lambda = [0.0] * n
 
     root = n + len(children) - 1 if children else 0
-    stack = [(root, 0)]  # (merge-tree node, cluster id)
+    stack = [(root, 0, None)]  # (merge-tree node, cluster id, exit lambda)
     while stack:
-        node, cid = stack.pop()
-        if node < n:  # single point left on the cluster spine
+        node, cid, exit_lam = stack.pop()
+        if node < n:  # a point exits at its lambda, or at lambda(0) on a spine
             point_cluster[node] = cid
-            point_lambda[node] = _lam(0.0)
+            point_lambda[node] = _lam(0.0) if exit_lam is None else exit_lam
             continue
         a, b = children[node - n]
+        if exit_lam is not None:  # below an exit: pass it down
+            stack.append((a, cid, exit_lam))
+            stack.append((b, cid, exit_lam))
+            continue
         d = dists[node - n]
         lam = _lam(d)
-        sa, sb = subtree_size(a), subtree_size(b)
+        sa, sb = node_size[a], node_size[b]
         if sa >= min_cluster_size and sb >= min_cluster_size and d < selection_epsilon:
             # both sides are viable but the split is below the selection
             # radius: keep walking both branches inside the same cluster
-            stack.append((a, cid))
-            stack.append((b, cid))
+            stack.append((a, cid, None))
+            stack.append((b, cid, None))
         elif sa >= min_cluster_size and sb >= min_cluster_size:
-            for child in (a, b):
+            for child, size in ((a, sa), (b, sb)):
                 new_id = len(cluster_parent)
                 cluster_parent.append(cid)
                 cluster_birth.append(lam)
-                stack.append((child, new_id))
+                cluster_size.append(size)
+                stack.append((child, new_id, None))
         elif sa >= min_cluster_size or sb >= min_cluster_size:
             keep, drop = (a, b) if sa >= min_cluster_size else (b, a)
-            for p in leaves(drop):
-                point_cluster[p] = cid
-                point_lambda[p] = lam
-            stack.append((keep, cid))
+            stack.append((drop, cid, lam))
+            stack.append((keep, cid, None))
         else:  # cluster dies: everything left exits here
-            for p in leaves(node):
-                point_cluster[p] = cid
-                point_lambda[p] = lam
-    return cluster_parent, cluster_birth, point_cluster, point_lambda
+            stack.append((node, cid, lam))
+    return cluster_parent, cluster_birth, cluster_size, point_cluster, point_lambda
 
 
 def _select_eom(
     cluster_parent: list[int],
     cluster_birth: list[float],
+    cluster_size: list[int],
     point_cluster: list[int],
     point_lambda: list[float],
 ) -> list[int]:
@@ -236,18 +231,13 @@ def _select_eom(
     that owns each cluster, or -1 for a cluster no selected one holds."""
     m = len(cluster_parent)
     stability = [0.0] * m
-    subtree_points = [0] * m
     for p, cid in enumerate(point_cluster):
         stability[cid] += point_lambda[p] - cluster_birth[cid]
-        c = cid
-        while c != -1:
-            subtree_points[c] += 1
-            c = cluster_parent[c]
     kids: list[list[int]] = [[] for _ in range(m)]
     for cid in range(1, m):
         par = cluster_parent[cid]
         kids[par].append(cid)
-        stability[par] += subtree_points[cid] * (cluster_birth[cid] - cluster_birth[par])
+        stability[par] += cluster_size[cid] * (cluster_birth[cid] - cluster_birth[par])
 
     best = [0.0] * m
     selected_here = [False] * m
@@ -305,14 +295,14 @@ def hdbscan(
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be >= 2")
     if n < min_cluster_size:
-        return ClusterResult(tuple([-1] * n), {})
+        return ClusterResult(tuple([-1] * n))
 
     core = _core_distances(D, min_samples)
     children, dists = _single_linkage(_reachability(D, core))
-    cparent, cbirth, pcluster, plambda = _condense(
+    cparent, cbirth, csize, pcluster, plambda = _condense(
         n, children, dists, min_cluster_size, selection_epsilon
     )
-    owner = _select_eom(cparent, cbirth, pcluster, plambda)
+    owner = _select_eom(cparent, cbirth, csize, pcluster, plambda)
     labels = [owner[c] for c in pcluster]
     if owner[0] == 0:
         # root selected, so it owns every point: trim sparse strays by
@@ -337,16 +327,13 @@ def _canonical_result(labels: Sequence[int]) -> ClusterResult:
         if lbl not in remap:
             remap[lbl] = len(remap)
         out.append(remap[lbl])
-    sizes: dict[int, int] = {}
-    for lbl in out:
-        if lbl >= 0:
-            sizes[lbl] = sizes.get(lbl, 0) + 1
-    return ClusterResult(tuple(out), sizes)
+    return ClusterResult(tuple(out))
 
 
 def largest_cluster(result: ClusterResult) -> frozenset[int]:
     """Members of the max-size cluster; ties by lower id; empty if all noise."""
-    if not result.cluster_sizes:
+    sizes = result.cluster_sizes
+    if not sizes:
         return frozenset()
-    best = min(result.cluster_sizes, key=lambda cid: (-result.cluster_sizes[cid], cid))
+    best = min(sizes, key=lambda cid: (-sizes[cid], cid))
     return frozenset(i for i, lbl in enumerate(result.labels) if lbl == best)

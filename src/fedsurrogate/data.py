@@ -104,7 +104,6 @@ def corner_patch_trigger(
 @dataclass(frozen=True)
 class PartitionPlan:
     client_indices: tuple[tuple[int, ...], ...]
-    alpha: float
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -239,7 +238,7 @@ def dirichlet_partition(
                 buckets[j].extend(int(i) for i in class_idx[start:stop])
                 start = stop
         if all(buckets):
-            return PartitionPlan(tuple(tuple(b) for b in buckets), alpha)
+            return PartitionPlan(tuple(tuple(b) for b in buckets))
     raise ValueError(
         f"no partition gives each of {n_clients} clients a sample after "
         f"{max_attempts} attempts; use more samples per class or a larger alpha"

@@ -28,8 +28,8 @@ from .params import (
 
 # At 20-client scale a coordinated minority can be as small as 3-4
 # clients; min_samples must stay below that for the group to register as
-# dense, so the coarse stage defaults lower than the usual literature 5.
-DEFAULT_MIN_SAMPLES = 3
+# dense, so the coarse stage uses less than the usual literature 5.
+COARSE_MIN_SAMPLES = 3
 
 # Distance radius below which the coarse clustering refuses to split a
 # cluster, so benign micro-structure cannot fragment the honest mass.
@@ -67,6 +67,9 @@ class FilterConfig:
     def __post_init__(self):
         if not 0.0 < self.zeta <= 1.0:
             raise ValueError("zeta must be in (0, 1]")
+        if not self.iqr_multiplier >= 0:  # a negative one moves the fence below Q3
+            raise ValueError("config key 'filter.iqr_multiplier' must be >= 0, "
+                             f"not {self.iqr_multiplier}")
         if not self.rescue_layers:
             raise ValueError("rescue_layers must name at least one layer")
         if len(set(self.rescue_layers)) < len(self.rescue_layers):
@@ -169,7 +172,6 @@ def select_critical_layers(
 def coarse_cluster(
     updates: Sequence[ClientUpdate],
     critical_layers: Sequence[str],
-    min_samples: int = DEFAULT_MIN_SAMPLES,
     features: np.ndarray | None = None,
 ) -> tuple[frozenset[int], frozenset[int], np.ndarray, bool]:
     """Cluster the critical-layer deltas; the largest cluster is accepted
@@ -197,7 +199,7 @@ def coarse_cluster(
     if features is None:
         features = _critical_features(updates, critical_layers)
     D = pairwise_distance_matrix(features, metric="euclidean")
-    ms = min(min_samples, n - 1)
+    ms = min(COARSE_MIN_SAMPLES, n - 1)
     result = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
                      selection_epsilon=COARSE_SELECTION_EPSILON)
     majority = n // 2 + 1
@@ -431,7 +433,6 @@ def fedsurrogate_round(
     lca_cfg: LcaConfig,
     filter_cfg: FilterConfig,
     weights: AggregationWeights,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
     donor_metric: str = "cosine",
     variant: str = "full",
 ) -> tuple[ParameterVector, RoundOutcome, ScoreMemory]:
@@ -462,7 +463,7 @@ def fedsurrogate_round(
     critical, degenerate_lca = select_critical_layers(divergences, lca_cfg)
     features = _critical_features(updates, critical)
     coarse, suspects, D, degenerate_cluster = coarse_cluster(
-        updates, critical, min_samples, features=features)
+        updates, critical, features=features)
 
     # Stage 2 (memory update precedes screening)
     if variant == "stage1":

@@ -69,7 +69,8 @@ class DatasetSpec:
     """Synthetic generator parameters, or a pair of IDX files.
 
     When ``images_path`` is set the IDX pair is loaded instead of the
-    synthetic generator and the synthetic fields are ignored.
+    synthetic generator and the synthetic fields are ignored; the other
+    three paths are accepted only beside it.
     """
 
     num_classes: int = 4
@@ -85,10 +86,16 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.images_path is None:
+            for name in ("labels_path", "test_images_path", "test_labels_path"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"config key 'dataset.{name}' needs "
+                                     "'dataset.images_path' set")
             if self.num_classes < 2 or self.dim < 1 or self.per_class < 1:
                 raise ValueError("dataset counts must be positive")
             if self.test_per_class < 1:
                 raise ValueError("test_per_class must be positive")
+            if not self.spread >= 0:
+                raise ValueError(f"config key 'dataset.spread' must be >= 0, not {self.spread}")
             if not 0.0 <= self.background <= 1.0:
                 raise ValueError("config key 'dataset.background' must lie in [0, 1]")
             try:  # the run's patch trigger needs a square grid of side >= 3
@@ -149,6 +156,9 @@ class ExperimentConfig:
             raise ValueError("warmup fields must be non-negative / positive")
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be non-negative, not {self.seed}")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError("config key 'hidden_dims' must list at least one "
+                             f"positive width, not {self.hidden_dims}")
         n_layers = len(self.hidden_dims) + 1
         if set(self.filter.rescue_layers) - {f"fc{k + 1}" for k in range(n_layers)}:
             raise ValueError(
@@ -286,7 +296,7 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     if ds.images_path is not None:
         train = load_idx(ds.images_path, ds.labels_path)
         test = load_idx(ds.test_images_path, ds.test_labels_path)
-        n_warm = min(len(train), ds.num_classes * cfg.warmup_per_class)
+        n_warm = min(len(train), train.num_classes * cfg.warmup_per_class)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[cfg.seed, _WARM_TAG])
         )

@@ -116,7 +116,7 @@ def canonical_result(labels):
         if lbl >= 0 and lbl not in remap:
             remap[lbl] = len(remap)
     out = tuple(remap.get(lbl, -1) for lbl in labels)
-    return ClusterResult(out, {k: out.count(k) for k in remap.values()})
+    return ClusterResult(out)
 
 
 def hdbscan_reference(D, min_cluster_size, min_samples, selection_epsilon=0.0):
@@ -124,7 +124,7 @@ def hdbscan_reference(D, min_cluster_size, min_samples, selection_epsilon=0.0):
     D = np.asarray(D, dtype=np.float64)
     n = len(D)
     if n < min_cluster_size:
-        return ClusterResult(tuple([-1] * n), {})
+        return ClusterResult(tuple([-1] * n))
     children, dists = naive_merge_tree(mutual_reachability(D, min_samples))
     clusters, point_info = naive_condense(
         n, children, dists, min_cluster_size, selection_epsilon

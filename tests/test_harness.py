@@ -331,6 +331,13 @@ class TestConfigSchema:
         ("dataset:\n  background: 2.0\n", "'dataset.background'"),
         ("dataset:\n  num_classes: 20\n  dim: 9\n", "'dataset.num_classes'"),
         ("filter:\n  rescue_layers: [fc2, fc2]\n", "'filter.rescue_layers'"),
+        ("filter:\n  iqr_multiplier: -1.0\n", "'filter.iqr_multiplier'"),
+        ("dataset:\n  spread: -0.5\n", "'dataset.spread'"),
+        ("hidden_dims: [0, 16]\n", "'hidden_dims'"),
+        ("hidden_dims: []\nfilter:\n  rescue_layers: [fc1]\n", "'hidden_dims'"),
+        ("dataset:\n  labels_path: lbl.idx\n", "'dataset.labels_path'"),
+        ("dataset:\n  test_images_path: t.idx\n  test_labels_path: tl.idx\n",
+         "'dataset.test_images_path'"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.yaml"
@@ -399,3 +406,26 @@ class TestIdxIntegration:
         )
         report = run_experiment(quick_config(rounds=1, dataset=spec, attack_kind="none"))
         assert len(report.records) == 1
+
+    def test_warmup_is_sized_by_the_idx_class_count(self, tmp_path, monkeypatch):
+        from test_data import write_idx_pair
+
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(600, 8, 8)).astype(np.uint8)
+        labels = np.arange(600) % 10  # ten classes; dataset.num_classes stays 4
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        timg, tlbl = write_idx_pair(test_dir, images[:40], labels[:40])
+        spec = DatasetSpec(images_path=img, labels_path=lbl,
+                           test_images_path=timg, test_labels_path=tlbl)
+        lengths = []
+        real = harness.local_train
+
+        def local_train(arch, model, data, tcfg):
+            lengths.append(len(data))
+            return real(arch, model, data, tcfg)
+
+        monkeypatch.setattr(harness, "local_train", local_train)
+        run_experiment(quick_config(rounds=1, n_clients=2, dataset=spec, attack_kind="none"))
+        assert spec.num_classes == 4 and lengths[0] == 10 * 50

@@ -73,3 +73,11 @@ def test_the_recorded_listing_is_of_the_fixed_set():
 def test_config_set_builds_34_named_configs():
     names = [name for name, _ in _load().config_set()]
     assert len(names) == 34 and len(set(names)) == 34
+
+
+def test_the_fixed_set_gives_the_recorded_digest(capsys):
+    """The byte check: every config of the set writes the recorded report
+    bytes. A mismatch names on stderr the configs that differ."""
+    digest = _load()
+    recorded = digest.RECORDED.read_text().splitlines()[-1][:64]
+    assert digest.print_digests(digest.config_set(), expect=recorded) == recorded

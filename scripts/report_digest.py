@@ -54,6 +54,9 @@ def config_set() -> list[tuple[str, ExperimentConfig]]:
     out = [(f"seed={seed} attack={attack}",
             dataclasses.replace(base, seed=seed, attack_kind=attack, rounds=12))
            for seed in (1, 2, 50511426) for attack in ATTACKS]
+    out += [(f"seed=1 attack={attack} defense=fedavg",
+             dataclasses.replace(base, seed=1, attack_kind=attack, rounds=12, defense="fedavg"))
+            for attack in ATTACKS]
     out += [(f"seed={seed} {name}", dataclasses.replace(base, seed=seed, **fields))
             for seed in (1, 3) for name, fields in _VARIANTS.items()]
     out.append(("n=80 attack=none",

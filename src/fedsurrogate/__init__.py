@@ -7,7 +7,7 @@ Submodules:
     model       small MLP with manual forward/backward and local SGD
     attacks     CBA / DBA / Neurotoxin and the adaptive CSA / CLA attacks
     clustering  HDBSCAN on precomputed distance matrices
-    defense     the three-stage defense pipeline and the FedAvg control
+    defense     the round steps: the three-stage pipeline and the FedAvg control
     metrics     MTA / ASR / TPR / FPR / MCC
     harness     experiment orchestration, sweeps, ablations, CSV/JSON reports
 """

@@ -245,25 +245,14 @@ def dirichlet_partition(
     )
 
 
-def apply_trigger(
-    features: np.ndarray, label: int, spec: TriggerSpec,
-    fragment_index: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Return a triggered copy: patch coords set to patch_value, label
-    replaced by the target. With a fragment index, only that round-robin
-    coordinate subset is written."""
-    coords = spec.patch_coords if fragment_index is None else spec.fragment_coords(fragment_index)
-    out = np.array(features, dtype=np.float64, copy=True)
-    out[list(coords)] = spec.patch_value
-    return out, spec.target_label
-
-
 def poison_partition(
     ds: Dataset, pdr: float, spec: TriggerSpec,
     fragment_index: int | None, seed: int,
 ) -> Dataset:
     """Replace exactly floor(pdr * n) samples (seeded choice) by their
-    triggered versions."""
+    triggered versions: the patch coordinates set to patch_value (with a
+    fragment index, only that round-robin subset of them) and the label
+    replaced by the target."""
     if not 0.0 <= pdr <= 1.0:
         raise ValueError("pdr must be in [0, 1]")
     n = len(ds)
@@ -272,10 +261,11 @@ def poison_partition(
         return ds
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0xB0]))
     chosen = rng.permutation(n)[:k]
+    coords = spec.patch_coords if fragment_index is None else spec.fragment_coords(fragment_index)
     feats = ds.features.copy()
     labels = ds.labels.copy()
-    for i in chosen:
-        feats[i], labels[i] = apply_trigger(ds.features[i], int(ds.labels[i]), spec, fragment_index)
+    feats[np.ix_(chosen, coords)] = spec.patch_value
+    labels[chosen] = spec.target_label
     return Dataset(feats, labels, ds.num_classes)
 
 

@@ -1,4 +1,7 @@
-"""The three-stage defense pipeline and the FedAvg control aggregator.
+"""The defenses as round steps: the three-stage FedSurrogate pipeline and
+the FedAvg control. Each step takes the round's client updates, the
+global model and its score memory, in that order, and returns the new
+global model, a ``RoundOutcome`` and the new memory.
 
 Stage 1: per-layer divergence ranking, then density clustering of updates
 restricted to the critical layers -> coarse trusted set / suspects.
@@ -35,8 +38,9 @@ COARSE_MIN_SAMPLES = 3
 # cluster, so benign micro-structure cannot fragment the honest mass.
 COARSE_SELECTION_EPSILON = 0.5
 
-# the ablations of ``fedsurrogate_round`` and Stage 3's donor metrics
-VARIANTS = ("full", "stage1", "no_rescue", "exclude")
+# the ablations of ``fedsurrogate_round``, in the order ``harness.ablate``
+# runs them, and Stage 3's donor metrics
+VARIANTS = ("stage1", "no_rescue", "exclude", "full")
 DONOR_METRICS = ("cosine", "euclidean")
 
 
@@ -409,22 +413,28 @@ def aggregate(
     return ParameterVector(acc / total, first.schema)
 
 
-def fedavg_aggregate(models: Mapping[int, ParameterVector],
-                     sample_counts: Mapping[int, int]) -> ParameterVector:
-    """Sample-size-weighted mean (the undefended control)."""
-    if not models:
+# ---------------------------------------------------------------------------
+# Round steps
+# ---------------------------------------------------------------------------
+
+def fedavg_round(
+    updates: Sequence[ClientUpdate],
+    global_model: ParameterVector,
+    mem: ScoreMemory,
+) -> tuple[ParameterVector, RoundOutcome, ScoreMemory]:
+    """The undefended control: the sample-size-weighted mean of the
+    clients' models. Its outcome trusts every client, and the score
+    memory passes through unchanged."""
+    if not updates:
         raise ValueError("nothing to aggregate")
-    total = float(sum(sample_counts[c] for c in models))
-    first = next(iter(models.values()))
-    acc = np.zeros_like(first.values)
-    for cid in sorted(models):
-        acc += (sample_counts[cid] / total) * models[cid].values
-    return ParameterVector(acc, first.schema)
+    total = float(sum(u.sample_count for u in updates))
+    acc = np.zeros_like(global_model.values)
+    for u in sorted(updates, key=lambda u: u.client_id):
+        acc += (u.sample_count / total) * u.model.values
+    outcome = RoundOutcome((), frozenset(u.client_id for u in updates), frozenset(),
+                           frozenset(), frozenset(), {})
+    return ParameterVector(acc, global_model.schema), outcome, mem
 
-
-# ---------------------------------------------------------------------------
-# Full round
-# ---------------------------------------------------------------------------
 
 def fedsurrogate_round(
     updates: Sequence[ClientUpdate],

@@ -9,6 +9,7 @@ adding clients or rounds never perturbs existing random streams.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -47,7 +48,7 @@ from .defense import (
     FilterConfig,
     LcaConfig,
     ScoreMemory,
-    fedavg_aggregate,
+    fedavg_round,
     fedsurrogate_round,
 )
 from .metrics import DetectionTally, asr, main_task_accuracy, mcc, rates, tally_round
@@ -164,6 +165,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"filter.rescue_layers {self.filter.rescue_layers} must name layers "
                 f"among fc1..fc{n_layers}, those of hidden_dims {self.hidden_dims}"
+            )
+        if self.attack.cla_top_k > n_layers:  # cla_compose would clamp it to n_layers
+            raise ValueError(
+                f"config key 'attack.cla_top_k' is {self.attack.cla_top_k}, above the "
+                f"{n_layers} layers of hidden_dims {self.hidden_dims}"
             )
 
     @property
@@ -318,9 +324,9 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def _make_trigger(cfg: ExperimentConfig, dim: int) -> TriggerSpec:
+    patch = corner_patch_trigger(dim)
     fragments = max(1, cfg.n_malicious) if cfg.attack_kind == "dba" else 1
-    fragments = min(fragments, 9)
-    return corner_patch_trigger(dim, fragments=fragments)
+    return dataclasses.replace(patch, fragments=min(fragments, len(patch.patch_coords)))
 
 
 # The package's own attack trainers: a round trains in one process while
@@ -406,6 +412,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     w = min(params._cpu_count(), cfg.n_clients) if alone else 1
     parts = [list(range(k, cfg.n_clients, w)) for k in range(w)]
     triggered = triggered_test_set(test, trigger) if cfg.attack_kind != "none" else None
+    # looked up here, not at import, so a step replaced on this module is run
+    step = {"fedavg": fedavg_round,
+            "fedsurrogate": functools.partial(
+                fedsurrogate_round, lca_cfg=cfg.lca, filter_cfg=cfg.filter,
+                weights=cfg.weights, donor_metric=cfg.donor_metric, variant=cfg.variant),
+            }[cfg.defense]
     mem = ScoreMemory()
     tally = DetectionTally()
     prev_delta: np.ndarray | None = None
@@ -425,22 +437,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             ]
             deltas.base.flags.writeable = False
             before = global_model.values
-            if cfg.defense == "fedsurrogate":
-                global_model, outcome, mem = fedsurrogate_round(
-                    updates, global_model, mem, cfg.lca, cfg.filter, cfg.weights,
-                    donor_metric=cfg.donor_metric, variant=cfg.variant,
-                )
-                flagged = outcome.confirmed_malicious
-                tally = tally_round(tally, flagged, roles)
-                n_rescued = len(outcome.rescued)
-                degenerate = outcome.degenerate
-                critical = outcome.critical_layers
-            else:
-                global_model = fedavg_aggregate(
-                    {u.client_id: u.model for u in updates},
-                    {u.client_id: u.sample_count for u in updates},
-                )
-                flagged, n_rescued, degenerate, critical = frozenset(), 0, False, ()
+            global_model, outcome, mem = step(updates, global_model, mem)
+            tally = tally_round(tally, outcome.confirmed_malicious, roles)
             prev_delta = global_model.values - before
             records.append(
                 RoundRecord(
@@ -448,10 +446,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     mta=main_task_accuracy(arch, global_model, test),
                     asr=asr(arch, global_model, test, trigger, triggered=triggered)
                     if triggered is not None else 0.0,
-                    n_flagged=len(flagged),
-                    n_rescued=n_rescued,
-                    degenerate=degenerate,
-                    critical_layers=critical,
+                    n_flagged=len(outcome.confirmed_malicious),
+                    n_rescued=len(outcome.rescued),
+                    degenerate=outcome.degenerate,
+                    critical_layers=outcome.critical_layers,
                 )
             )
             del models, updates, deltas  # freed before the next round allocates its own
@@ -480,10 +478,7 @@ def ablate(cfg: ExperimentConfig) -> list[RunReport]:
     """Run the four pipeline variants on the same seed."""
     if cfg.defense != "fedsurrogate":
         raise ValueError("ablation requires the fedsurrogate defense")
-    return [
-        run_experiment(dataclasses.replace(cfg, variant=v))
-        for v in ("stage1", "no_rescue", "exclude", "full")
-    ]
+    return [run_experiment(dataclasses.replace(cfg, variant=v)) for v in VARIANTS]
 
 
 def report_to_csv(report: RunReport) -> str:

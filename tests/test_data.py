@@ -11,7 +11,6 @@ from fedsurrogate.data import (
     IdxMagicError,
     IdxTruncatedError,
     TriggerSpec,
-    apply_trigger,
     corner_patch_trigger,
     dirichlet_partition,
     generate_synthetic,
@@ -154,11 +153,19 @@ class TestTrigger:
         expected = tuple(r * side + c for r in range(5, 8) for c in range(5, 8))
         assert spec.patch_coords == expected
 
-    def test_apply_keeps_target_label(self):
-        spec = TriggerSpec((0, 1), 1.0, target_label=1)
-        feats, label = apply_trigger(np.zeros(4), 1, spec)
-        assert label == 1
-        assert feats[0] == 1.0 and feats[1] == 1.0
+    def test_poison_writes_only_its_fragment_and_the_target(self):
+        ds = Dataset(np.zeros((8, 5)), np.array([0, 1, 2, 1, 0, 1, 2, 1]), 3)
+        spec = TriggerSpec((0, 1, 3), 1.0, target_label=1, fragments=2)
+        for fragment_index, coords in ((None, [0, 1, 3]), (0, [0, 3]), (1, [1])):
+            out = poison_partition(ds, 0.5, spec, fragment_index, seed=4)
+            chosen = out.features.any(axis=1)
+            assert chosen.sum() == 4
+            expect = np.zeros((8, 5))
+            expect[np.ix_(chosen, coords)] = 1.0
+            assert np.array_equal(out.features, expect)
+            # a chosen sample of the target class keeps the target label
+            assert np.all(out.labels[chosen] == 1) and 1 in ds.labels[chosen]
+            assert np.array_equal(out.labels[~chosen], ds.labels[~chosen])
 
     def test_pdr_zero_identity(self):
         ds = generate_synthetic(4, 64, 10, 0.1, seed=0)

@@ -1,9 +1,14 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsurrogate.defense import (
+    DONOR_METRICS,
+    VARIANTS,
     AggregationWeights,
     FilterConfig,
     LcaConfig,
@@ -12,7 +17,7 @@ from fedsurrogate.defense import (
     alignment_scores,
     build_surrogate,
     coarse_cluster,
-    fedavg_aggregate,
+    fedavg_round,
     fedsurrogate_round,
     layer_divergence,
     rescue_suspects,
@@ -25,6 +30,7 @@ from fedsurrogate.params import (
     ClientUpdate,
     LayerSchema,
     ParameterVector,
+    Role,
     compute_update,
     pairwise_distance_matrix,
 )
@@ -284,14 +290,28 @@ class TestSurrogateAndAggregation:
         out = aggregate(models, roles, AggregationWeights())
         assert out.values.tolist() == [2.0, 1.0]
 
+    def fedavg(self, models, counts):
+        """``fedavg_round``'s new global values; checks that its outcome
+        trusts every client and that the memory passes through."""
+        ups = [ClientUpdate(cid, self.vec(m), self.vec(m), n)
+               for cid, (m, n) in enumerate(zip(models, counts))]
+        mem = ScoreMemory({0: 0.25}, {0: 1})
+        out, outcome, mem_out = fedavg_round(ups, self.vec([7.0, 7.0]), mem)
+        assert mem_out is mem
+        assert outcome.coarse_trusted == frozenset(range(len(ups)))
+        assert outcome.critical_layers == () and outcome.donors == {}
+        assert not (outcome.demoted or outcome.rescued or outcome.confirmed_malicious)
+        assert not outcome.degenerate
+        return out.values.tolist()
+
     def test_fedavg_equal_counts(self):
-        models = {0: self.vec([1.0, 0.0]), 1: self.vec([3.0, 2.0])}
-        out = fedavg_aggregate(models, {0: 5, 1: 5})
-        assert out.values.tolist() == [2.0, 1.0]
+        assert self.fedavg([[1.0, 0.0], [3.0, 2.0]], [5, 5]) == [2.0, 1.0]
+
+    def test_fedavg_weights_by_sample_count(self):
+        assert self.fedavg([[0.0, 4.0], [4.0, 0.0]], [1, 3]) == [3.0, 1.0]
 
     def test_fedavg_single_client(self):
-        models = {0: self.vec([4.0, 2.0])}
-        assert fedavg_aggregate(models, {0: 3}).values.tolist() == [4.0, 2.0]
+        assert self.fedavg([[4.0, 2.0]], [3]) == [4.0, 2.0]
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -386,6 +406,42 @@ class TestFullRound:
             AggregationWeights(),
         )
         if not outcome.confirmed_malicious and not outcome.demoted:
-            expect = fedavg_aggregate({u.client_id: u.model for u in ups},
-                                      {u.client_id: 1 for u in ups})
+            expect, _, _ = fedavg_round(ups, g, ScoreMemory())
             assert np.allclose(new_g.values, expect.values, atol=1e-9)
+
+
+def roled_rounds():
+    """Two planted rounds whose attackers (clients 10-13) carry their true
+    role, with unequal sample counts so FedAvg's weights matter."""
+    rounds = []
+    for seed in (0, 1):
+        ups, g = planted_round(seed=seed)
+        rounds.append(([dataclasses.replace(
+            u, sample_count=1 + u.client_id % 4,
+            true_role=Role.MALICIOUS if u.client_id >= 10 else Role.BENIGN) for u in ups], g))
+    return rounds
+
+
+ROUND_STEPS = {"fedavg": fedavg_round} | {
+    f"{variant}-{metric}": functools.partial(
+        fedsurrogate_round, lca_cfg=LcaConfig(top_k=2), filter_cfg=FilterConfig(),
+        weights=AggregationWeights(), donor_metric=metric, variant=variant)
+    for variant in VARIANTS for metric in DONOR_METRICS
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_STEPS))
+def test_no_round_step_reads_true_role(name):
+    """Flipping every client's ground truth leaves a step's model bits,
+    outcomes and score memory, over two rounds, as they were."""
+    def run(flip):
+        mem, seen = ScoreMemory(), []
+        for ups, g in roled_rounds():
+            if flip:
+                ups = [dataclasses.replace(u, true_role=Role.BENIGN if u.true_role is Role.MALICIOUS
+                                           else Role.MALICIOUS) for u in ups]
+            new_g, outcome, mem = ROUND_STEPS[name](ups, g, mem)
+            seen.append((new_g.values.tobytes(), outcome))
+        return seen, mem
+
+    assert run(flip=False) == run(flip=True)

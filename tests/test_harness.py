@@ -338,6 +338,9 @@ class TestConfigSchema:
         ("dataset:\n  labels_path: lbl.idx\n", "'dataset.labels_path'"),
         ("dataset:\n  test_images_path: t.idx\n  test_labels_path: tl.idx\n",
          "'dataset.test_images_path'"),
+        ("attack:\n  cla_top_k: 4\n", "'attack.cla_top_k'"),
+        ("hidden_dims: [8]\nfilter:\n  rescue_layers: [fc2]\nattack:\n  cla_top_k: 3\n",
+         "'attack.cla_top_k'"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.yaml"

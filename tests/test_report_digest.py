@@ -70,9 +70,9 @@ def test_the_recorded_listing_is_of_the_fixed_set():
         "".join(line + "\n" for line in lines[:-1]).encode()).hexdigest()
 
 
-def test_config_set_builds_34_named_configs():
+def test_config_set_builds_40_named_configs():
     names = [name for name, _ in _load().config_set()]
-    assert len(names) == 34 and len(set(names)) == 34
+    assert len(names) == 40 and len(set(names)) == 40
 
 
 def test_the_fixed_set_gives_the_recorded_digest(capsys):

@@ -1,10 +1,14 @@
 """Backdoor attack strategies used by malicious clients.
 
-All attacks train on a locally poisoned shard and return a full model
-parameter vector; the caller turns that into a client update.
+Every trainer runs ``_poisoned_train`` (``malicious_epochs`` on the shard
+with floor(poison_rate * n) samples triggered), adds its own part (DBA a
+trigger fragment, Neurotoxin a projection, CSA a penalty, CLA a splice
+into a benign model) and scales the delta. A new attack is one trainer
+here plus one entry in ``harness``'s roster of attack trainers.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,13 +54,17 @@ def _boost(
     return ParameterVector(values, trained.schema)
 
 
-def _malicious_cfg(cfg: TrainConfig, attack: AttackConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=attack.malicious_epochs,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
+def _poisoned_train(
+    arch: MlpArchitecture, global_model: ParameterVector, shard: Dataset,
+    trigger: TriggerSpec, cfg: TrainConfig, attack: AttackConfig,
+    fragment_index: int | None = None, **hooks: Callable[[np.ndarray], np.ndarray] | None,
+) -> ParameterVector:
+    """Train for ``malicious_epochs`` on the shard with its samples poisoned
+    (by one trigger fragment if given), passing ``local_train``'s hooks on."""
+    poisoned = poison_partition(shard, attack.poison_rate, trigger,
+                                fragment_index=fragment_index, seed=cfg.seed)
+    return local_train(arch, global_model, poisoned,
+                       dataclasses.replace(cfg, epochs=attack.malicious_epochs), **hooks)
 
 
 def cba_train(
@@ -68,10 +76,7 @@ def cba_train(
     attack: AttackConfig,
 ) -> ParameterVector:
     """Centralised backdoor: every attacker poisons with the full trigger."""
-    poisoned = poison_partition(shard, attack.poison_rate, trigger,
-                                fragment_index=None, seed=cfg.seed)
-    trained = local_train(arch, global_model, poisoned,
-                          _malicious_cfg(cfg, attack))
+    trained = _poisoned_train(arch, global_model, shard, trigger, cfg, attack)
     return _boost(global_model, trained, attack.boost)
 
 
@@ -85,11 +90,8 @@ def dba_train(
     attacker_index: int,
 ) -> ParameterVector:
     """Distributed backdoor: attacker i poisons only its trigger fragment."""
-    fragment = attacker_index % trigger.fragments
-    poisoned = poison_partition(shard, attack.poison_rate, trigger,
-                                fragment_index=fragment, seed=cfg.seed)
-    trained = local_train(arch, global_model, poisoned,
-                          _malicious_cfg(cfg, attack))
+    trained = _poisoned_train(arch, global_model, shard, trigger, cfg, attack,
+                              fragment_index=attacker_index % trigger.fragments)
     return _boost(global_model, trained, attack.boost)
 
 
@@ -126,17 +128,14 @@ def neurotoxin_train(
         mask = np.ones(global_model.values.size, dtype=bool)
     else:
         mask = neurotoxin_mask(previous_global_delta, attack.neurotoxin_ratio)
-    poisoned = poison_partition(shard, attack.poison_rate, trigger,
-                                fragment_index=None, seed=cfg.seed)
     start = global_model.values
 
     def project(params: np.ndarray) -> np.ndarray:
         delta = params - start
         return start + np.where(mask, delta, 0.0)
 
-    trained = local_train(arch, global_model, poisoned,
-                          _malicious_cfg(cfg, attack),
-                          post_step=None if mask.all() else project)
+    trained = _poisoned_train(arch, global_model, shard, trigger, cfg, attack,
+                              post_step=None if mask.all() else project)
     # Scaling the delta keeps its support inside the allowed mask.
     return _boost(global_model, trained, attack.boost)
 
@@ -154,8 +153,6 @@ def csa_train(
     cosine-similarity penalty pulling each layer towards the reference,
     and finally scales the constrained delta (constrain-and-scale)."""
     reference = local_train(arch, global_model, shard, cfg)
-    poisoned = poison_partition(shard, attack.poison_rate, trigger,
-                                fragment_index=None, seed=cfg.seed)
     lam = attack.csa_lambda
     # the reference layers and their norms are fixed for the call; a
     # layer whose reference norm is degenerate gets no penalty
@@ -178,8 +175,8 @@ def csa_train(
             grad[lo:hi] = lam * (cos * w / wn**2 - r / (wn * rn))
         return grad
 
-    trained = local_train(arch, global_model, poisoned,
-                          _malicious_cfg(cfg, attack), extra_grad=penalty_grad)
+    trained = _poisoned_train(arch, global_model, shard, trigger, cfg, attack,
+                              extra_grad=penalty_grad)
     return _boost(global_model, trained, attack.boost)
 
 
@@ -195,12 +192,11 @@ def cla_compose(
     schema = benign_model.schema
     if schema != backdoored_model.schema:
         raise ValueError("schemas differ")
-    dist = [
+    dist = sorted(
         (cosine_distance(benign_model.layer(n), backdoored_model.layer(n)), i)
         for i, n in enumerate(schema.names)
-    ]
-    dist.sort()
-    chosen = {schema.names[i] for _, i in dist[: min(top_k, len(dist))]}
+    )
+    chosen = {schema.names[i] for _, i in dist[:top_k]}
     values = benign_model.values.copy()
     for name in chosen:
         lo, hi = schema.bounds(name)
@@ -219,9 +215,6 @@ def cla_train(
     """Train the benign and backdoored halves of the CLA attack, compose
     them, then scale the composed delta so it survives averaging."""
     benign = local_train(arch, global_model, shard, cfg)
-    poisoned = poison_partition(shard, attack.poison_rate, trigger,
-                                fragment_index=None, seed=cfg.seed)
-    backdoored = local_train(arch, global_model, poisoned,
-                             _malicious_cfg(cfg, attack))
+    backdoored = _poisoned_train(arch, global_model, shard, trigger, cfg, attack)
     composed = cla_compose(benign, backdoored, attack.cla_top_k)
     return _boost(global_model, composed, attack.boost)

@@ -3,9 +3,9 @@
 Each config leaf's dotted path (``filter.zeta``) is its YAML key within
 its section, its flag (``--filter-zeta``) and its ``sweep --parameter``
 name. A YAML config file, such as a report's JSON ``config`` block, may
-supply any subset of fields and explicit flags override it. The
-``FEDSURROGATE_OUTPUT_DIR`` environment variable overrides the output
-directory. Exit status is nonzero on any validation failure.
+supply any subset of fields, each key once, and explicit flags override
+it. The ``FEDSURROGATE_OUTPUT_DIR`` environment variable overrides the
+output directory. Exit status is 2 on any validation or YAML failure.
 
 BLAS thread pools are pinned to a single thread before numpy is first
 imported so results are bit-identical regardless of host parallelism.
@@ -95,17 +95,29 @@ def _yaml_paths(mapping: dict, prefix: str = "") -> dict:
     return out
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that rejects a mapping key given twice (YAML keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if key.value in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"config key {key.value!r} is given twice", key.start_mark)
+                seen.add(key.value)
+        return super().construct_mapping(node, deep)
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Build an ExperimentConfig from the config file plus CLI overrides."""
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+            loaded = yaml.load(fh, Loader=_UniqueKeyLoader)
+        if not isinstance(loaded, dict | None):  # an empty file loads as None
             raise ValueError("config file must contain a mapping")
-        values = _yaml_paths(loaded)
+        values = _yaml_paths(loaded or {})
     for path, typ in config_fields().items():
         text = getattr(args, path)
         if text is not None:
@@ -150,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                 emit_report(report, path, format=ext)
                 print(f"variant={report.config.variant}: MTA {report.final_mta:.4f} "
                       f"ASR {report.final_asr:.4f} -> {path}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

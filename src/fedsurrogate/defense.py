@@ -39,9 +39,10 @@ COARSE_MIN_SAMPLES = 3
 COARSE_SELECTION_EPSILON = 0.5
 
 # the ablations of ``fedsurrogate_round``, in the order ``harness.ablate``
-# runs them, and Stage 3's donor metrics
+# runs them, Stage 3's donor metrics and Stage 1's layer-selection modes
 VARIANTS = ("stage1", "no_rescue", "exclude", "full")
 DONOR_METRICS = ("cosine", "euclidean")
+LCA_MODES = ("top_k", "mad_threshold")
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,14 @@ class LcaConfig:
 
     top_k: int = 5
     sigma: float = 2.0
-    mode: str = "top_k"  # or "mad_threshold"
+    mode: str = "top_k"  # one of LCA_MODES
 
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.mode not in ("top_k", "mad_threshold"):
-            raise ValueError(f"unknown LCA mode {self.mode!r}")
+        if self.mode not in LCA_MODES:
+            raise ValueError(f"config key 'lca.mode' is {self.mode!r}, "
+                             f"not one of {', '.join(LCA_MODES)}")
         if self.mode == "mad_threshold" and self.sigma <= 0:
             raise ValueError("sigma must be positive in mad_threshold mode")
 

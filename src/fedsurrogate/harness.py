@@ -57,7 +57,23 @@ from .model import MlpArchitecture, TrainConfig, init_model, local_train
 from .params import ClientUpdate, ParameterVector, Role, compute_update
 from .workers import RoundTrainers
 
-ATTACKS = ("none", "cba", "dba", "neurotoxin", "csa", "cla")
+
+def _attack_trainers(cid: int = 0, prev_delta: np.ndarray | None = None) -> dict[str, tuple]:
+    """The roster: attack kind -> (its trainer as this module holds it now,
+    the arguments client ``cid`` passes it after the attack config)."""
+    return {
+        "cba": (cba_train,),
+        # attackers are clients 0..n_mal-1, so a client's id is its attacker index
+        "dba": (dba_train, cid),
+        "neurotoxin": (neurotoxin_train, prev_delta),
+        "csa": (csa_train,),
+        "cla": (cla_train,),
+    }
+
+
+# while any trainer differs from these (is hooked), a round trains in one process; see workers
+_OWN_TRAINERS = _attack_trainers()
+ATTACKS = ("none", *_OWN_TRAINERS)
 DEFENSES = ("fedsurrogate", "fedavg")
 
 
@@ -145,14 +161,11 @@ class ExperimentConfig:
             raise ValueError("rounds, epochs and batch must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.attack_kind not in ATTACKS:
-            raise ValueError(f"unknown attack {self.attack_kind!r}")
-        if self.defense not in DEFENSES:
-            raise ValueError(f"unknown defense {self.defense!r}")
-        if self.donor_metric not in DONOR_METRICS:
-            raise ValueError(f"unknown donor metric {self.donor_metric!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        for key, accepted in (("attack_kind", ATTACKS), ("defense", DEFENSES),
+                              ("donor_metric", DONOR_METRICS), ("variant", VARIANTS)):
+            if getattr(self, key) not in accepted:
+                raise ValueError(f"config key {key!r} is {getattr(self, key)!r}, "
+                                 f"not one of {', '.join(accepted)}")
         if self.warmup_epochs < 0 or self.warmup_per_class < 1:
             raise ValueError("warmup fields must be non-negative / positive")
         if self.seed < 0:
@@ -325,13 +338,9 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 def _make_trigger(cfg: ExperimentConfig, dim: int) -> TriggerSpec:
     patch = corner_patch_trigger(dim)
-    fragments = max(1, cfg.n_malicious) if cfg.attack_kind == "dba" else 1
-    return dataclasses.replace(patch, fragments=min(fragments, len(patch.patch_coords)))
-
-
-# The package's own attack trainers: a round trains in one process while
-# any of them is hooked (replaced on this module), see ``workers``.
-_ATTACK_TRAINERS = (cba_train, dba_train, neurotoxin_train, csa_train, cla_train)
+    # one fragment per attacker, at most one per coordinate; only DBA writes one
+    fragments = min(max(1, cfg.n_malicious), len(patch.patch_coords))
+    return dataclasses.replace(patch, fragments=fragments)
 
 
 def _train_one(
@@ -345,28 +354,12 @@ def _train_one(
     malicious: bool,
     prev_delta: np.ndarray | None,
 ) -> ParameterVector:
-    tcfg = TrainConfig(
-        epochs=cfg.benign_epochs,
-        learning_rate=cfg.lr,
-        batch_size=cfg.batch,
-        seed=_derive_seed(cfg.seed, _CLIENT_TAG, rnd, cid),
-    )
+    tcfg = TrainConfig(cfg.benign_epochs, cfg.lr, cfg.batch,
+                       seed=_derive_seed(cfg.seed, _CLIENT_TAG, rnd, cid))
     if not malicious:
         return local_train(arch, global_model, shard, tcfg)
-    attack = cfg.attack
-    kind = cfg.attack_kind
-    if kind == "cba":
-        return cba_train(arch, global_model, shard, trigger, tcfg, attack)
-    if kind == "dba":
-        # attackers are clients 0..n_mal-1, so a client's id is its attacker index
-        return dba_train(arch, global_model, shard, trigger, tcfg, attack, cid)
-    if kind == "neurotoxin":
-        return neurotoxin_train(arch, global_model, shard, trigger, tcfg, attack, prev_delta)
-    if kind == "csa":
-        return csa_train(arch, global_model, shard, trigger, tcfg, attack)
-    if kind == "cla":
-        return cla_train(arch, global_model, shard, trigger, tcfg, attack)
-    raise ValueError(f"unknown attack {kind!r}")
+    trainer, *extra = _attack_trainers(cid, prev_delta)[cfg.attack_kind]
+    return trainer(arch, global_model, shard, trigger, tcfg, cfg.attack, *extra)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -407,8 +400,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         return _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
                           roles[cid] is Role.MALICIOUS, prev_delta)
 
-    hooked = (cba_train, dba_train, neurotoxin_train, csa_train, cla_train) != _ATTACK_TRAINERS
-    alone = threading.active_count() == 1 and not hooked
+    alone = threading.active_count() == 1 and _attack_trainers() == _OWN_TRAINERS
     w = min(params._cpu_count(), cfg.n_clients) if alone else 1
     parts = [list(range(k, cfg.n_clients, w)) for k in range(w)]
     triggered = triggered_test_set(test, trigger) if cfg.attack_kind != "none" else None

@@ -44,9 +44,9 @@ so BLAS stays pinned to the same thread count in each of them.
 Hooks. A worker calls the training stages as ``harness``'s module
 attributes held them at the fork, so what a hook wrapped around one
 records in a worker stays there. A round therefore trains in one
-process while any of the five attack trainers is hooked: the round
-benchmark's tracer hooks them, and its training spans and counts cover
-every client. ``local_train`` may be hooked without that, as the
+process while any trainer on ``harness``'s attack roster is hooked:
+the round benchmark's tracer hooks them, and its training spans and
+counts cover every client. ``local_train`` may be hooked without that, as the
 benchmark's timed runs do to mark the end of the warm-up; a hook on it
 alone sees the warm-up and part 0's clients only.
 """

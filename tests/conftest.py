@@ -1,5 +1,10 @@
 """Shared pytest plumbing: a recorder that prints one PASS/FAIL line per
-acceptance criterion in the terminal summary."""
+acceptance criterion in the terminal summary, and the environment of a
+child Python process."""
+import os
+from pathlib import Path
+
+import fedsurrogate
 
 _CRITERION_LINES: dict[int, str] = {}
 
@@ -15,3 +20,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for number in sorted(_CRITERION_LINES):
         terminalreporter.write_line(_CRITERION_LINES[number])
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This process's environment plus ``overrides``, with the directory
+    this run imports ``fedsurrogate`` from first on PYTHONPATH, so a child
+    Python imports the same sources."""
+    src = str(Path(fedsurrogate.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)

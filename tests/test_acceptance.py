@@ -30,7 +30,7 @@ from fedsurrogate.params import (
     pairwise_distance_matrix,
 )
 
-from conftest import record_criterion
+from conftest import child_env, record_criterion
 from hdbscan_oracle import hdbscan_reference
 from model_oracle import backward, cross_entropy
 
@@ -347,10 +347,9 @@ class TestCriterion10:
         ]
 
         def run_cli(out_dir, threads):
-            env = dict(os.environ)
+            env = child_env(FEDSURROGATE_OUTPUT_DIR=str(out_dir))
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[var] = str(threads)
-            env["FEDSURROGATE_OUTPUT_DIR"] = str(out_dir)
             out_dir.mkdir(exist_ok=True)
             proc = subprocess.run(
                 [sys.executable, "-m", "fedsurrogate.cli", *flags],
@@ -394,8 +393,8 @@ class TestCriterion10:
         )
 
         def run_cli(out_dir, pin):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                       MKL_NUM_THREADS="1", FEDSURROGATE_OUTPUT_DIR=str(out_dir))
+            env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                            MKL_NUM_THREADS="1", FEDSURROGATE_OUTPUT_DIR=str(out_dir))
             out_dir.mkdir()
             proc = subprocess.run(
                 [sys.executable, "-c", child, pin, *flags],

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedsurrogate.attacks import (
     AttackConfig,
     _boost,
-    _malicious_cfg,
     cba_train,
     cla_compose,
     cla_train,
@@ -154,7 +155,8 @@ def csa_train_reference(arch, global_model, shard, trigger, cfg, attack):
         return grad
 
     trained = local_train(arch, global_model, poisoned,
-                          _malicious_cfg(cfg, attack), extra_grad=penalty_grad)
+                          dataclasses.replace(cfg, epochs=attack.malicious_epochs),
+                          extra_grad=penalty_grad)
     return _boost(global_model, trained, attack.boost)
 
 

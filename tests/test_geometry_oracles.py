@@ -38,6 +38,8 @@ from fedsurrogate.params import (
     pairwise_distance_matrix,
 )
 
+from conftest import child_env
+
 TOL = 1e-12
 SCHEMA = LayerSchema.from_lengths([("fc1", 7), ("fc2", 3), ("fc3", 12), ("out", 1)])
 
@@ -312,7 +314,8 @@ def test_small_matrices_do_not_import_the_thread_pool():
         "params.cosine_distance_rows(X, range(32))\n"
         "print('concurrent.futures' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -341,6 +341,17 @@ class TestConfigSchema:
         ("attack:\n  cla_top_k: 4\n", "'attack.cla_top_k'"),
         ("hidden_dims: [8]\nfilter:\n  rescue_layers: [fc2]\nattack:\n  cla_top_k: 3\n",
          "'attack.cla_top_k'"),
+        ("n_clients: [1,", "line 1, column 15"),
+        ("filter:\n  zeta: 0.1\nfilter:\n  iqr_multiplier: 2.0\n",
+         "'filter' is given twice"),
+        ("seed: 1\nrounds: 2\nseed: 3\n", "'seed' is given twice"),
+        ("filter:\n  zeta: 0.1\n  zeta: 0.2\n", "'zeta' is given twice"),
+        ("attack_kind: foo\n",
+         "'attack_kind' is 'foo', not one of none, cba, dba, neurotoxin, csa, cla"),
+        ("defense: krum\n", "'defense' is 'krum', not one of fedsurrogate, fedavg"),
+        ("variant: half\n", "'variant' is 'half', not one of stage1, no_rescue, exclude, full"),
+        ("donor_metric: l1\n", "'donor_metric' is 'l1', not one of cosine, euclidean"),
+        ("lca:\n  mode: median\n", "'lca.mode' is 'median', not one of top_k, mad_threshold"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.yaml"

@@ -28,6 +28,8 @@ from fedsurrogate.harness import DatasetSpec, ExperimentConfig, report_to_csv, r
 from fedsurrogate.params import LayerSchema, ParameterVector
 from fedsurrogate.workers import RoundTrainers
 
+from conftest import child_env
+
 
 def small(**overrides):
     """9 clients, 3 of them attackers, so three parts all train some."""
@@ -142,21 +144,39 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     assert not other.is_alive()
 
 
-@pytest.mark.parametrize("kind", ["cba", "none"])
+@pytest.mark.parametrize("kind", harness.ATTACKS)
 def test_a_hooked_attack_trainer_keeps_every_client_here(monkeypatch, kind):
     """A hook on any attack trainer must see every call, so nothing is
-    forked; the report's bytes stay those of an unhooked run."""
+    forked; the report's bytes stay those of an unhooked run. The hook
+    receives the attack config, and DBA's client id or Neurotoxin's
+    previous global delta after it."""
     cfg = small(attack_kind=kind)
     plain = run_with_parts(monkeypatch, cfg, 1)
     seen = []
-    real = harness.cba_train
-    monkeypatch.setattr(harness, "cba_train",
-                        lambda *a: seen.append(os.getpid()) or real(*a))
+    # "none" has no trainer of its own; a hook on any other still keeps the round here
+    name = "cba_train" if kind == "none" else f"{kind}_train"
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name,
+                        lambda *a: seen.append((os.getpid(), a)) or real(*a))
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a hooked attack trainer"))
     report = run_with_parts(monkeypatch, cfg, 3)
     assert report_to_csv(report) == report_to_csv(plain)
-    expected = cfg.rounds * cfg.n_malicious if kind == "cba" else 0
-    assert seen == [os.getpid()] * expected
+    assert [pid for pid, _ in seen] == [os.getpid()] * (cfg.rounds * cfg.n_malicious)
+    assert all(a[5] is cfg.attack for _, a in seen)
+    calls = [seen[r * cfg.n_malicious:(r + 1) * cfg.n_malicious] for r in range(cfg.rounds)]
+    for rnd, round_calls in enumerate(calls):
+        extra = [a[6:] for _, a in round_calls]
+        if kind == "dba":
+            assert extra == [(cid,) for cid in range(cfg.n_malicious)]
+        elif kind == "neurotoxin":
+            for (delta,) in extra:
+                if rnd == 0:
+                    assert delta is None
+                else:
+                    before, after = calls[rnd - 1][0][1][1], round_calls[0][1][1]
+                    assert np.array_equal(delta, after.values - before.values)
+        else:
+            assert extra == [()] * cfg.n_malicious
 
 
 def test_a_hooked_local_train_still_forks(monkeypatch, forks):
@@ -472,7 +492,7 @@ def test_no_pipe_file_is_left_unclosed():
     "Exception ignored" and still exits 0, so stderr is read too."""
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", LEAK_CHECK],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     clean, killed = proc.stdout.splitlines()
     assert clean == "3"

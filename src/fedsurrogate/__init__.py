@@ -8,8 +8,10 @@ Submodules:
     attacks     CBA / DBA / Neurotoxin and the adaptive CSA / CLA attacks
     clustering  HDBSCAN on precomputed distance matrices
     defense     the round steps: the three-stage pipeline and the FedAvg control
-    metrics     MTA / ASR / TPR / FPR / MCC
+    metrics     ASR / TPR / FPR / MCC (MTA is model.evaluate)
     harness     experiment orchestration, sweeps, ablations, CSV/JSON reports
+    workers     a round's client training over forked worker processes
+    cli         the run / sweep / ablate command line
 """
 
 __version__ = "0.1.0"

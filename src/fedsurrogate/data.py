@@ -16,6 +16,13 @@ import numpy as np
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+# The run's trigger: a PATCH_SIDE x PATCH_SIDE square set to PATCH_VALUE
+# that relabels to TARGET_LABEL.
+PATCH_SIDE, PATCH_VALUE, TARGET_LABEL = 3, 1.0, 1
+
+# Pixel value of the uninformative half of ``generate_synthetic``'s means.
+BACKGROUND = 0.35
+
 
 class IdxFormatError(ValueError):
     """Malformed IDX file."""
@@ -83,37 +90,20 @@ class TriggerSpec:
         )
 
 
-def corner_patch_trigger(
-    dim: int, patch_side: int = 3, patch_value: float = 1.0,
-    target_label: int = 1, fragments: int = 1,
-) -> TriggerSpec:
-    """Square patch in the lower-right corner of the row-major feature grid."""
+def corner_patch_trigger(dim: int, fragments: int = 1) -> TriggerSpec:
+    """The PATCH_SIDE square in the lower-right corner of the row-major
+    feature grid."""
     side = int(round(dim ** 0.5))
     if side * side != dim:
         raise ValueError(f"feature dim {dim} is not a square grid")
-    if patch_side > side:
+    if PATCH_SIDE > side:
         raise ValueError("patch larger than grid")
     coords = [
         r * side + c
-        for r in range(side - patch_side, side)
-        for c in range(side - patch_side, side)
+        for r in range(side - PATCH_SIDE, side)
+        for c in range(side - PATCH_SIDE, side)
     ]
-    return TriggerSpec(tuple(coords), patch_value, target_label, fragments)
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    client_indices: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for idx in self.client_indices:
-            if not idx:
-                raise ValueError("every client must receive at least one sample")
-            dup = seen.intersection(idx)
-            if dup:
-                raise ValueError("client index lists must be disjoint")
-            seen.update(idx)
+    return TriggerSpec(tuple(coords), PATCH_VALUE, TARGET_LABEL, fragments)
 
 
 def class_bits(num_classes: int, dim: int) -> tuple[int, int]:
@@ -132,7 +122,7 @@ def class_bits(num_classes: int, dim: int) -> tuple[int, int]:
 
 def generate_synthetic(
     num_classes: int, dim: int, per_class: int, spread: float, seed: int,
-    background: float = 0.35,
+    background: float = BACKGROUND,
 ) -> Dataset:
     """Class-conditional Gaussian clouds around well-separated means.
 
@@ -206,9 +196,10 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 def dirichlet_partition(
     ds: Dataset, n_clients: int, alpha: float, seed: int, max_attempts: int = 100
-) -> PartitionPlan:
-    """Per class, draw Dirichlet(alpha) proportions over clients and split
-    that class's samples accordingly.
+) -> list[np.ndarray]:
+    """Each client's sample indices: per class, draw Dirichlet(alpha)
+    proportions over clients and split that class's samples accordingly,
+    so a client's array holds its share of class 0, then of class 1, ...
 
     A draw that leaves any client empty is discarded and the whole
     partition redrawn with an incremented sub-seed. ValueError when
@@ -223,7 +214,7 @@ def dirichlet_partition(
         raise ValueError("dataset smaller than client count")
     for attempt in range(max_attempts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0xD1, attempt]))
-        buckets: list[list[int]] = [[] for _ in range(n_clients)]
+        pieces: list[list[np.ndarray]] = []  # per class, one slice per client
         for c in range(ds.num_classes):
             class_idx = np.flatnonzero(ds.labels == c)
             if not len(class_idx):
@@ -232,13 +223,10 @@ def dirichlet_partition(
             props = rng.dirichlet(np.full(n_clients, alpha))
             # cumulative split points; the last client absorbs rounding
             cuts = np.floor(np.cumsum(props) * len(class_idx)).astype(int)
-            cuts[-1] = len(class_idx)
-            start = 0
-            for j, stop in enumerate(cuts):
-                buckets[j].extend(int(i) for i in class_idx[start:stop])
-                start = stop
-        if all(buckets):
-            return PartitionPlan(tuple(tuple(b) for b in buckets))
+            pieces.append(np.split(class_idx, cuts[:-1]))
+        shards = [np.concatenate(parts) for parts in zip(*pieces)]
+        if all(len(s) for s in shards):
+            return shards
     raise ValueError(
         f"no partition gives each of {n_clients} clients a sample after "
         f"{max_attempts} attempts; use more samples per class or a larger alpha"

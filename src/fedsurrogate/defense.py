@@ -176,12 +176,12 @@ def select_critical_layers(
 
 
 def coarse_cluster(
-    updates: Sequence[ClientUpdate],
-    critical_layers: Sequence[str],
-    features: np.ndarray | None = None,
+    ids: Sequence[int], features: np.ndarray
 ) -> tuple[frozenset[int], frozenset[int], np.ndarray, bool]:
-    """Cluster the critical-layer deltas; the largest cluster is accepted
-    as the coarse trusted set when it carries a strict majority.
+    """Cluster the clients' critical-layer deltas, row k of ``features``
+    (``_critical_features``) being client ``ids[k]``'s; the largest
+    cluster is accepted as the coarse trusted set when it carries a
+    strict majority.
 
     Returns (coarse trusted, suspects, euclidean distance matrix,
     degenerate). Distances are euclidean rather than cosine: honest
@@ -194,16 +194,8 @@ def coarse_cluster(
     COARSE_SELECTION_EPSILON are suppressed, which stops local
     sub-structure inside the honest mass from fragmenting it below the
     majority threshold.
-
-    ``features``, when given, is ``_critical_features(updates,
-    critical_layers)`` already built by the caller.
     """
-    if not critical_layers:
-        raise ValueError("empty critical layer set")
-    n = len(updates)
-    ids = [u.client_id for u in updates]
-    if features is None:
-        features = _critical_features(updates, critical_layers)
+    n = len(ids)
     D = pairwise_distance_matrix(features, metric="euclidean")
     ms = min(COARSE_MIN_SAMPLES, n - 1)
     result = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
@@ -445,14 +437,14 @@ def fedsurrogate_round(
     lca_cfg: LcaConfig,
     filter_cfg: FilterConfig,
     weights: AggregationWeights,
-    donor_metric: str = "cosine",
-    variant: str = "full",
+    donor_metric: str,
+    variant: str,
 ) -> tuple[ParameterVector, RoundOutcome, ScoreMemory]:
     """One server round of the full pipeline. Returns the new global
     model, the round's set partition, and the updated score memory.
 
     ``variant`` selects an ablation of the pipeline:
-      - ``"full"``: all three stages (the default).
+      - ``"full"``: all three stages.
       - ``"stage1"``: coarse clustering only; suspects are excluded and the
         alignment filter never runs (score memory passes through unchanged).
       - ``"no_rescue"``: stages 1+2 but every suspect is confirmed, none
@@ -474,8 +466,7 @@ def fedsurrogate_round(
     divergences = layer_divergence(updates)
     critical, degenerate_lca = select_critical_layers(divergences, lca_cfg)
     features = _critical_features(updates, critical)
-    coarse, suspects, D, degenerate_cluster = coarse_cluster(
-        updates, critical, features=features)
+    coarse, suspects, D, degenerate_cluster = coarse_cluster(ids, features)
 
     # Stage 2 (memory update precedes screening)
     if variant == "stage1":

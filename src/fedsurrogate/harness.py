@@ -32,6 +32,8 @@ from .attacks import (
     neurotoxin_train,
 )
 from .data import (
+    BACKGROUND,
+    PATCH_SIDE,
     Dataset,
     TriggerSpec,
     class_bits,
@@ -51,9 +53,10 @@ from .defense import (
     fedavg_round,
     fedsurrogate_round,
 )
-from .metrics import DetectionTally, asr, main_task_accuracy, mcc, rates, tally_round
+from .metrics import DetectionTally, asr, mcc, rates, tally_round
 from . import params
 from .model import MlpArchitecture, TrainConfig, init_model, local_train
+from .model import evaluate as main_task_accuracy  # bound apart, so a wrapper can trace MTA
 from .params import ClientUpdate, ParameterVector, Role, compute_update
 from .workers import RoundTrainers
 
@@ -95,7 +98,7 @@ class DatasetSpec:
     per_class: int = 300
     test_per_class: int = 50
     spread: float = 0.05
-    background: float = 0.35
+    background: float = BACKGROUND
     images_path: str | None = None
     labels_path: str | None = None
     test_images_path: str | None = None
@@ -315,6 +318,13 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     if ds.images_path is not None:
         train = load_idx(ds.images_path, ds.labels_path)
         test = load_idx(ds.test_images_path, ds.test_labels_path)
+        if test.dim != train.dim:
+            raise ValueError(f"config key 'dataset.test_images_path': images of {test.dim} "
+                             f"pixels, the training images have {train.dim}")
+        if len(test) and test.labels.max() >= train.num_classes:
+            raise ValueError(f"config key 'dataset.test_labels_path': label "
+                             f"{test.labels.max()} is outside the training classes "
+                             f"0..{train.num_classes - 1}")
         n_warm = min(len(train), train.num_classes * cfg.warmup_per_class)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[cfg.seed, _WARM_TAG])
@@ -337,10 +347,8 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def _make_trigger(cfg: ExperimentConfig, dim: int) -> TriggerSpec:
-    patch = corner_patch_trigger(dim)
     # one fragment per attacker, at most one per coordinate; only DBA writes one
-    fragments = min(max(1, cfg.n_malicious), len(patch.patch_coords))
-    return dataclasses.replace(patch, fragments=fragments)
+    return corner_patch_trigger(dim, min(max(1, cfg.n_malicious), PATCH_SIDE ** 2))
 
 
 def _train_one(
@@ -375,12 +383,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             stacklevel=2,
         )
     train, test, warm = _load_datasets(cfg)
-    plan = dirichlet_partition(
-        train, cfg.n_clients, cfg.alpha, seed=_derive_seed(cfg.seed, _PART_TAG)
-    )
-    shards = [train.subset(idx) for idx in plan.client_indices]
+    shards = [train.subset(idx) for idx in dirichlet_partition(
+        train, cfg.n_clients, cfg.alpha, seed=_derive_seed(cfg.seed, _PART_TAG))]
     dims = (train.dim, *cfg.hidden_dims, train.num_classes)
-    del train, plan  # the shards hold copies of every sample they need
+    del train  # the shards hold copies of every sample they need
     trigger = _make_trigger(cfg, dims[0])
     roles = {
         cid: (Role.MALICIOUS if cid < n_mal else Role.BENIGN)
@@ -436,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 RoundRecord(
                     round=rnd,
                     mta=main_task_accuracy(arch, global_model, test),
-                    asr=asr(arch, global_model, test, trigger, triggered=triggered)
+                    asr=asr(arch, global_model, triggered, trigger.target_label)
                     if triggered is not None else 0.0,
                     n_flagged=len(outcome.confirmed_malicious),
                     n_rescued=len(outcome.rescued),
@@ -503,7 +509,7 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_report(report: RunReport, path: str, format: str = "csv") -> None:
+def emit_report(report: RunReport, path: str, format: str) -> None:
     """Write a report to ``path`` as CSV or JSON."""
     if format == "csv":
         text = report_to_csv(report)

@@ -1,13 +1,15 @@
-"""Task metrics (accuracy, attack success) and detection-quality metrics."""
+"""Attack success rate and detection-quality metrics (TPR, FPR, MCC).
+Main-task accuracy is ``model.evaluate``."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import Dataset, TriggerSpec, triggered_test_set
-from .model import MlpArchitecture, evaluate, predict
+from .data import Dataset
+from .model import MlpArchitecture, predict
 from .params import ParameterVector, Role
 
 
@@ -26,29 +28,13 @@ class DetectionTally:
             raise ValueError("counts must be non-negative")
 
 
-def main_task_accuracy(
-    arch: MlpArchitecture, params: ParameterVector, test: Dataset
-) -> float:
-    return evaluate(arch, params, test)
-
-
 def asr(
-    arch: MlpArchitecture,
-    params: ParameterVector,
-    test: Dataset,
-    trigger: TriggerSpec,
-    triggered: Dataset | None = None,
+    arch: MlpArchitecture, params: ParameterVector, triggered: Dataset, target_label: int
 ) -> float:
-    """Attack success rate: fraction of triggered non-target-class test
-    samples classified as the trigger's target label. ``triggered`` is
-    ``triggered_test_set(test, trigger)`` when the caller already holds
-    it, as a run does from its first round on."""
-    if triggered is None:
-        triggered = triggered_test_set(test, trigger)
-    if not len(triggered):
-        raise ValueError("no test samples outside the target class")
+    """Attack success rate: fraction of the triggered test set
+    (``data.triggered_test_set``) classified as ``target_label``."""
     preds = predict(arch, params, triggered.features)
-    return float(np.mean(preds == trigger.target_label))
+    return float(np.mean(preds == target_label))
 
 
 def tally_round(
@@ -86,4 +72,4 @@ def mcc(tally: DetectionTally) -> float:
     denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom == 0:
         return 0.0
-    return float((tp * tn - fp * fn) / np.sqrt(denom))
+    return (tp * tn - fp * fn) / math.sqrt(denom)

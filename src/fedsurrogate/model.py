@@ -51,10 +51,6 @@ class MlpArchitecture:
             lo = mid + fan_out
         return out
 
-    def unpack(self, params: ParameterVector) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views per layer of a parameter vector."""
-        return self.views(params.values)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -102,7 +98,7 @@ def forward(
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != arch.layer_dims[0]:
         raise ValueError(f"feature dim {x.shape[1]} != input dim {arch.layer_dims[0]}")
-    return _forward(arch.unpack(params), x)
+    return _forward(arch.views(params.values), x)
 
 
 def local_train(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 

@@ -30,7 +30,7 @@ def backward(arch, params, cache, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= arch.num_classes:
         raise ValueError("label out of range")
-    weights = arch.unpack(params)
+    weights = arch.views(params.values)
     # recompute logits from the last hidden activation
     logits = cache[-1] @ weights[-1][0] + weights[-1][1]
     n = len(labels)

@@ -21,7 +21,7 @@ from fedsurrogate.params import EPS_ZERO, ParameterVector, cosine_distance
 
 ARCH = MlpArchitecture((64, 8, 4))
 DS = generate_synthetic(4, 64, 25, 0.05, seed=0)
-TRIGGER = corner_patch_trigger(64, target_label=1)
+TRIGGER = corner_patch_trigger(64)
 CFG = TrainConfig(epochs=1, learning_rate=0.05, batch_size=16, seed=3)
 
 
@@ -71,7 +71,7 @@ class TestCbaDba:
     def test_dba_differs_by_fragment(self):
         shard = DS.subset(range(20))
         start = init_model(ARCH, 0)
-        frag_trigger = corner_patch_trigger(64, target_label=1, fragments=3)
+        frag_trigger = corner_patch_trigger(64, fragments=3)
         outs = [
             dba_train(ARCH, start, shard, frag_trigger, CFG, AttackConfig(), i)
             for i in range(3)

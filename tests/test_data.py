@@ -97,18 +97,16 @@ class TestIdx:
 class TestDirichlet:
     def test_partition_covers_everything(self):
         ds = generate_synthetic(4, 16, 50, 0.1, seed=1)
-        plan = dirichlet_partition(ds, 10, alpha=0.5, seed=1)
-        flat = [i for shard in plan.client_indices for i in shard]
-        assert sorted(flat) == list(range(len(ds)))
-        assert all(plan.client_indices)
+        shards = dirichlet_partition(ds, 10, alpha=0.5, seed=1)
+        assert len(shards) == 10 and all(len(shard) for shard in shards)
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(len(ds)))
 
     def test_near_uniform_at_large_alpha(self):
         rel_errs = []
         for seed in range(20):
             ds = generate_synthetic(10, 16, 200, 0.1, seed=seed)
-            plan = dirichlet_partition(ds, 20, alpha=1000.0, seed=seed)
-            for shard in plan.client_indices:
-                hist = np.bincount(ds.labels[np.array(shard)], minlength=10)
+            for shard in dirichlet_partition(ds, 20, alpha=1000.0, seed=seed):
+                hist = np.bincount(ds.labels[shard], minlength=10)
                 rel_errs.append(np.abs(hist / hist.sum() - 0.1).max() / 0.1)
         assert float(np.mean(rel_errs)) < 0.10
 
@@ -116,9 +114,8 @@ class TestDirichlet:
         hit = 0
         for seed in range(20):
             ds = generate_synthetic(10, 16, 100, 0.1, seed=seed)
-            plan = dirichlet_partition(ds, 20, alpha=0.05, seed=seed)
-            for shard in plan.client_indices:
-                hist = np.bincount(ds.labels[np.array(shard)], minlength=10)
+            for shard in dirichlet_partition(ds, 20, alpha=0.05, seed=seed):
+                hist = np.bincount(ds.labels[shard], minlength=10)
                 if hist.max() / hist.sum() >= 0.8:
                     hit += 1
                     break
@@ -128,7 +125,7 @@ class TestDirichlet:
         ds = generate_synthetic(4, 16, 50, 0.1, seed=2)
         p1 = dirichlet_partition(ds, 5, alpha=0.5, seed=9)
         p2 = dirichlet_partition(ds, 5, alpha=0.5, seed=9)
-        assert p1.client_indices == p2.client_indices
+        assert len(p1) == len(p2) and all(map(np.array_equal, p1, p2))
 
     def test_invalid_alpha(self):
         ds = generate_synthetic(4, 16, 50, 0.1, seed=2)
@@ -148,7 +145,7 @@ class TestTrigger:
         assert spec.fragment_coords(1) == (1, 5)
 
     def test_corner_patch_coords(self):
-        spec = corner_patch_trigger(64, patch_side=3)
+        spec = corner_patch_trigger(64)
         side = 8
         expected = tuple(r * side + c for r in range(5, 8) for c in range(5, 8))
         assert spec.patch_coords == expected
@@ -176,14 +173,14 @@ class TestTrigger:
 
     def test_pdr_one_everything_triggered(self):
         ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
-        spec = corner_patch_trigger(64, target_label=1)
+        spec = corner_patch_trigger(64)
         out = poison_partition(ds, 1.0, spec, fragment_index=None, seed=0)
         assert np.all(out.labels == 1)
         assert np.all(out.features[:, list(spec.patch_coords)] == spec.patch_value)
 
     def test_triggered_test_set_excludes_target(self):
         ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
-        spec = corner_patch_trigger(64, target_label=1)
+        spec = corner_patch_trigger(64)
         trig = triggered_test_set(ds, spec)
         assert 1 not in trig.labels
         assert np.all(trig.features[:, list(spec.patch_coords)] == spec.patch_value)
@@ -192,7 +189,7 @@ class TestTrigger:
     @settings(max_examples=30, deadline=None)
     def test_poison_count_exact(self, pdr, seed):
         ds = generate_synthetic(2, 64, 20, 0.05, seed=0)
-        spec = corner_patch_trigger(64, target_label=1)
+        spec = corner_patch_trigger(64)
         out = poison_partition(ds, pdr, spec, fragment_index=None, seed=seed)
         changed = int(np.sum(np.any(out.features != ds.features, axis=1)
                              | (out.labels != ds.labels)))

@@ -106,21 +106,14 @@ class TestCoarseCluster:
         rng = np.random.default_rng(0)
         benign = [np.array([1.0, 1.0]) + 0.02 * rng.standard_normal(2) for _ in range(10)]
         malicious = [np.array([-1.0, -1.0]) + 0.02 * rng.standard_normal(2) for _ in range(4)]
-        ups = one_layer_updates(benign + malicious)
-        trusted, suspects, D, degen = coarse_cluster(ups, ["a"])
+        trusted, suspects, D, degen = coarse_cluster(range(14), np.array(benign + malicious))
         assert trusted == frozenset(range(10))
         assert suspects == frozenset(range(10, 14))
         assert not degen
 
     def test_all_identical_degrades(self):
-        ups = one_layer_updates([[1.0, 1.0]] * 6)
-        trusted, suspects, _, degen = coarse_cluster(ups, ["a"])
+        trusted, suspects, _, degen = coarse_cluster(range(6), np.ones((6, 2)))
         assert trusted == frozenset(range(6)) and suspects == frozenset()
-
-    def test_empty_layers_rejected(self):
-        ups = one_layer_updates([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            coarse_cluster(ups, [])
 
 
 class TestAlignmentScores:
@@ -338,7 +331,7 @@ class TestFullRound:
         ups, g = planted_round()
         _, outcome, _ = fedsurrogate_round(
             ups, g, ScoreMemory(), LcaConfig(), FilterConfig(rescue_layers=("fc2", "fc3")),
-            AggregationWeights(),
+            AggregationWeights(), donor_metric="cosine", variant="full",
         )
         malicious = frozenset(range(10, 14))
         assert malicious <= outcome.confirmed_malicious
@@ -350,7 +343,8 @@ class TestFullRound:
     def test_default_filter_config_runs_a_round(self):
         ups, g = planted_round()
         _, outcome, _ = fedsurrogate_round(
-            ups, g, ScoreMemory(), LcaConfig(), FilterConfig(), AggregationWeights())
+            ups, g, ScoreMemory(), LcaConfig(), FilterConfig(), AggregationWeights(),
+            donor_metric="cosine", variant="full")
         assert frozenset(range(10, 14)) <= outcome.confirmed_malicious
         assert FilterConfig().rescue_layers == ("fc2", "fc3")
         with pytest.raises(ValueError, match="rescue_layers"):
@@ -360,7 +354,7 @@ class TestFullRound:
         ups, g = planted_round()
         _, outcome, _ = fedsurrogate_round(
             ups, g, ScoreMemory(), LcaConfig(), FilterConfig(rescue_layers=("fc2", "fc3")),
-            AggregationWeights(), variant="exclude",
+            AggregationWeights(), donor_metric="cosine", variant="exclude",
         )
         assert outcome.donors == {}
 
@@ -369,7 +363,7 @@ class TestFullRound:
         mem_in = ScoreMemory()
         _, outcome, mem_out = fedsurrogate_round(
             ups, g, mem_in, LcaConfig(), FilterConfig(rescue_layers=("fc2", "fc3")),
-            AggregationWeights(), variant="stage1",
+            AggregationWeights(), donor_metric="cosine", variant="stage1",
         )
         assert mem_out is mem_in
         assert outcome.rescued == frozenset()
@@ -380,7 +374,7 @@ class TestFullRound:
             fedsurrogate_round(
                 ups, g, ScoreMemory(), LcaConfig(),
                 FilterConfig(rescue_layers=("fc2",)), AggregationWeights(),
-                variant="bogus",
+                donor_metric="cosine", variant="bogus",
             )
 
     def test_unknown_donor_metric(self):
@@ -389,7 +383,7 @@ class TestFullRound:
             fedsurrogate_round(
                 ups, g, ScoreMemory(), LcaConfig(),
                 FilterConfig(rescue_layers=("fc2",)), AggregationWeights(),
-                donor_metric="manhattan",
+                donor_metric="manhattan", variant="full",
             )
 
     def test_benign_round_close_to_fedavg(self):
@@ -403,7 +397,7 @@ class TestFullRound:
             ups.append(ClientUpdate(i, model, model, 1))
         new_g, outcome, _ = fedsurrogate_round(
             ups, g, ScoreMemory(), LcaConfig(), FilterConfig(rescue_layers=("fc2", "fc3")),
-            AggregationWeights(),
+            AggregationWeights(), donor_metric="cosine", variant="full",
         )
         if not outcome.confirmed_malicious and not outcome.demoted:
             expect, _, _ = fedavg_round(ups, g, ScoreMemory())

@@ -187,7 +187,7 @@ def test_round_donors_match_oracle(seed, metric):
         _, outcome, _ = fedsurrogate_round(
             updates, g, ScoreMemory(), LcaConfig(top_k=2),
             FilterConfig(rescue_layers=("fc2", "fc3")), AggregationWeights(),
-            donor_metric=metric,
+            donor_metric=metric, variant="full",
         )
     assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
     features = [u.delta.restricted(outcome.critical_layers) for u in updates]
@@ -224,6 +224,7 @@ def test_round_donors_equal_full_matrix_donors_on_ties(seed):
         _, outcome, _ = fedsurrogate_round(
             updates, g, ScoreMemory(), LcaConfig(top_k=2),
             FilterConfig(rescue_layers=("fc2", "fc3")), AggregationWeights(),
+            donor_metric="cosine", variant="full",
         )
     assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
     features = np.array([u.delta.restricted(outcome.critical_layers) for u in updates])

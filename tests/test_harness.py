@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedsurrogate import data, harness, metrics
+from fedsurrogate import data, harness
 from fedsurrogate.cli import build_parser, resolve_config
 from fedsurrogate.cli import main as cli_main
 from fedsurrogate.harness import (
@@ -168,7 +168,7 @@ class TestReports:
             return build(*args, **kwargs)
 
         # every module that holds the name, so a build anywhere counts
-        for module in (data, metrics, harness):
+        for module in (data, harness):
             monkeypatch.setattr(module, "triggered_test_set", counted)
         report = run_experiment(quick_config(attack_kind=attack_kind))
         monkeypatch.undo()
@@ -443,3 +443,24 @@ class TestIdxIntegration:
         monkeypatch.setattr(harness, "local_train", local_train)
         run_experiment(quick_config(rounds=1, n_clients=2, dataset=spec, attack_kind="none"))
         assert spec.num_classes == 4 and lengths[0] == 10 * 50
+
+    @pytest.mark.parametrize("test_side, test_classes, key", [
+        (4, 4, "dataset.test_images_path"),    # 16-pixel test images, 64-pixel training ones
+        (8, 10, "dataset.test_labels_path"),   # test labels 0-9, training classes 0-3
+    ])
+    def test_a_test_pair_unlike_the_training_pair_exits_2(
+            self, tmp_path, capsys, test_side, test_classes, key):
+        from test_data import write_idx_pair
+
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(240, 8, 8)).astype(np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, np.arange(240) % 4)
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        timg, tlbl = write_idx_pair(test_dir, images[:40, :test_side, :test_side],
+                                    np.arange(40) % test_classes)
+        rc = cli_main(["run", "--n-clients", "4", "--rounds", "1",
+                       "--output-dir", str(tmp_path / "out"),
+                       "--dataset-images-path", img, "--dataset-labels-path", lbl,
+                       "--dataset-test-images-path", timg, "--dataset-test-labels-path", tlbl])
+        assert rc == 2 and key in capsys.readouterr().err

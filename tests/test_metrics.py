@@ -5,12 +5,11 @@ from fedsurrogate.data import Dataset, corner_patch_trigger, generate_synthetic,
 from fedsurrogate.metrics import (
     DetectionTally,
     asr,
-    main_task_accuracy,
     mcc,
     rates,
     tally_round,
 )
-from fedsurrogate.model import MlpArchitecture, init_model
+from fedsurrogate.model import MlpArchitecture, evaluate
 from fedsurrogate.params import ParameterVector, Role
 
 
@@ -25,37 +24,25 @@ def constant_class_model(arch, cls):
 class TestAsr:
     def test_always_target_is_one(self):
         arch = MlpArchitecture((64, 4, 4))
-        trigger = corner_patch_trigger(64, target_label=1)
-        model = constant_class_model(arch, 1)
-        ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
-        assert asr(arch, model, ds, trigger) == 1.0
+        triggered = triggered_test_set(generate_synthetic(4, 64, 10, 0.1, seed=0),
+                                       corner_patch_trigger(64))
+        assert asr(arch, constant_class_model(arch, 1), triggered, 1) == 1.0
 
     def test_never_target_is_zero(self):
         arch = MlpArchitecture((64, 4, 4))
-        trigger = corner_patch_trigger(64, target_label=1)
-        model = constant_class_model(arch, 2)
-        ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
-        assert asr(arch, model, ds, trigger) == 0.0
+        triggered = triggered_test_set(generate_synthetic(4, 64, 10, 0.1, seed=0),
+                                       corner_patch_trigger(64))
+        assert asr(arch, constant_class_model(arch, 2), triggered, 1) == 0.0
 
     def test_all_target_class_rejected(self):
-        arch = MlpArchitecture((64, 4, 4))
-        trigger = corner_patch_trigger(64, target_label=1)
         ds = Dataset(np.zeros((5, 64)), np.ones(5, dtype=np.int64), 4)
         with pytest.raises(ValueError):
-            asr(arch, constant_class_model(arch, 1), ds, trigger)
-
-    def test_prebuilt_triggered_set_gives_the_same_rate(self):
-        arch = MlpArchitecture((64, 4, 4))
-        trigger = corner_patch_trigger(64, target_label=1)
-        model = init_model(arch, 3)
-        ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
-        rate = asr(arch, model, ds, trigger, triggered=triggered_test_set(ds, trigger))
-        assert rate == asr(arch, model, ds, trigger)
+            triggered_test_set(ds, corner_patch_trigger(64))
 
     def test_mta_constant_model(self):
         arch = MlpArchitecture((64, 4, 4))
         ds = Dataset(np.zeros((6, 64)), np.full(6, 2, dtype=np.int64), 4)
-        assert main_task_accuracy(arch, constant_class_model(arch, 2), ds) == 1.0
+        assert evaluate(arch, constant_class_model(arch, 2), ds) == 1.0
 
 
 ROLES = {0: Role.MALICIOUS, 1: Role.MALICIOUS, 2: Role.BENIGN, 3: Role.BENIGN}
@@ -111,3 +98,12 @@ class TestMcc:
         t = DetectionTally(tp=3, fp=1, tn=4, fn=2)
         expect = (3 * 4 - 1 * 2) / np.sqrt((3 + 1) * (3 + 2) * (4 + 1) * (4 + 2))
         assert mcc(t) == pytest.approx(expect, abs=1e-12)
+
+    def test_tallies_past_int64_marginal_products(self):
+        # n = 2000 clients at mcr 0.2 over 100 rounds: the product of the
+        # four marginals is 40000^2 * 160000^2, past 2^63 - 1
+        assert mcc(DetectionTally(tp=40000, fp=0, tn=160000, fn=0)) == 1.0
+        tp, fp, tn, fn = 39000, 1500, 158500, 1000
+        expect = (tp * tn - fp * fn) / (
+            float(tp + fp) * float(tp + fn) * float(tn + fp) * float(tn + fn)) ** 0.5
+        assert mcc(DetectionTally(tp, fp, tn, fn)) == pytest.approx(expect, rel=1e-12)

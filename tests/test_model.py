@@ -44,7 +44,7 @@ class TestInit:
     def test_zero_biases(self):
         arch = MlpArchitecture((4, 3, 2))
         params = init_model(arch, 0)
-        for _, b in arch.unpack(params):
+        for _, b in arch.views(params.values):
             assert np.all(b == 0.0)
 
 

@@ -140,7 +140,7 @@ def test_round_is_the_same_from_the_matrix_and_from_loose_copies(seed, top_k, va
         # two rounds, so the second screens and rescues on carried memory
         for _ in range(2):
             new_global, outcome, mem = fedsurrogate_round(
-                updates, g, mem, lca, filt, AggregationWeights(), variant=variant)
+                updates, g, mem, lca, filt, AggregationWeights(), "cosine", variant)
             out.append((new_global, outcome))
         results.append((out, mem))
     (matrix_rounds, matrix_mem), (loose_rounds, loose_mem) = results
@@ -165,11 +165,11 @@ def test_the_default_round_reads_the_matrix_in_place(monkeypatch):
     monkeypatch.setattr(defense, "pairwise_distance_matrix",
                         lambda X, metric: seen.append(X) or real(X, metric))
     fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=5),
-                       FilterConfig(rescue_layers=("fc3",)), AggregationWeights())
+                       FilterConfig(rescue_layers=("fc3",)), AggregationWeights(), "cosine", "full")
     assert seen and seen[0].base is M.base and seen[0].shape == M.shape
     assert seen[0].ctypes.data == M.ctypes.data and seen[0].strides == M.strides
     fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=2),
-                       FilterConfig(rescue_layers=("fc3",)), AggregationWeights())
+                       FilterConfig(rescue_layers=("fc3",)), AggregationWeights(), "cosine", "full")
     assert not np.shares_memory(seen[1], M) and seen[1].shape == (len(models), 33)
 
 

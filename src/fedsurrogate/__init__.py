@@ -6,12 +6,12 @@ Submodules:
     data        synthetic datasets, IDX ingestion, Dirichlet partitioning, triggers
     model       small MLP with manual forward/backward and local SGD
     attacks     CBA / DBA / Neurotoxin and the adaptive CSA / CLA attacks
-    clustering  HDBSCAN on precomputed distance matrices
+    clustering  HDBSCAN on precomputed distance matrices, returning labels
     defense     the round steps: the three-stage pipeline and the FedAvg control
     metrics     ASR / TPR / FPR / MCC (MTA is model.evaluate)
-    harness     experiment orchestration, sweeps, ablations, CSV/JSON reports
+    harness     experiment config, one experiment loop, CSV/JSON reports
     workers     a round's client training over forked worker processes
-    cli         the run / sweep / ablate command line
+    cli         the run / sweep / ablate command line: one loop over configs
 """
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, TriggerSpec, poison_partition
 from .model import MlpArchitecture, TrainConfig, local_train
-from .params import EPS_ZERO, ParameterVector, cosine_distance
+from .params import EPS_ZERO, ParameterVector, check_key, cosine_distance
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,15 @@ class AttackConfig:
     boost: float = 5.0
 
     def __post_init__(self):
-        if not 0.0 < self.poison_rate <= 1.0:
-            raise ValueError("poison_rate must be in (0, 1]")
-        if self.malicious_epochs < 1:
-            raise ValueError("malicious_epochs must be >= 1")
-        if not 0.0 < self.neurotoxin_ratio < 1.0:
-            raise ValueError("neurotoxin_ratio must be in (0, 1)")
-        if self.csa_lambda < 0:
-            raise ValueError("csa_lambda must be >= 0")
-        if self.cla_top_k < 1:
-            raise ValueError("cla_top_k must be >= 1")
-        if self.boost < 1.0:
-            raise ValueError("boost must be >= 1")
+        check_key(0.0 < self.poison_rate <= 1.0, "attack.poison_rate", "in (0, 1]",
+                  self.poison_rate)
+        check_key(self.malicious_epochs >= 1, "attack.malicious_epochs", ">= 1",
+                  self.malicious_epochs)
+        check_key(0.0 < self.neurotoxin_ratio < 1.0, "attack.neurotoxin_ratio", "in (0, 1)",
+                  self.neurotoxin_ratio)
+        check_key(self.csa_lambda >= 0, "attack.csa_lambda", ">= 0", self.csa_lambda)
+        check_key(self.cla_top_k >= 1, "attack.cla_top_k", ">= 1", self.cla_top_k)
+        check_key(self.boost >= 1.0, "attack.boost", ">= 1", self.boost)
 
 
 def _boost(

@@ -5,7 +5,14 @@ its section, its flag (``--filter-zeta``) and its ``sweep --parameter``
 name. A YAML config file, such as a report's JSON ``config`` block, may
 supply any subset of fields, each key once, and explicit flags override
 it. The ``FEDSURROGATE_OUTPUT_DIR`` environment variable overrides the
-output directory. Exit status is 2 on any validation or YAML failure.
+output directory.
+
+Each command is a list of experiments, all configs checked before the
+first runs. Each report is written, and its line
+``{label}: MTA ... ASR ... TPR ... FPR ... -> {path}`` printed, as its
+experiment ends, so a sweep that fails on a later value keeps the
+reports of the earlier ones. Exit status is 2 on any validation, YAML
+or run failure.
 
 BLAS thread pools are pinned to a single thread before numpy is first
 imported so results are bit-identical regardless of host parallelism.
@@ -28,15 +35,14 @@ for _var in (
 
 import yaml  # noqa: E402
 
+from .defense import VARIANTS  # noqa: E402
 from .harness import (  # noqa: E402
     ExperimentConfig,
-    ablate,
     config_fields,
     config_hash,
     emit_report,
     run_experiment,
     set_fields,
-    sweep,
 )
 
 OUTPUT_DIR_ENV = "FEDSURROGATE_OUTPUT_DIR"
@@ -125,43 +131,40 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return set_fields(ExperimentConfig(), values)
 
 
+def _jobs(args: argparse.Namespace,
+          cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
+    """(report file prefix, label, config) of each experiment the command
+    runs: ``run`` one, ``sweep`` one per value, ``ablate`` one per
+    variant. Every config is built, so checked, before any runs."""
+    if args.command == "run":
+        return [("run_", "run", cfg)]
+    if args.command == "sweep":
+        key, prefix = args.parameter, f"sweep_{args.parameter}_"
+        typ = config_fields().get(key, str)
+        values = [_from_text(typ, chunk.strip()) for chunk in args.values.split(",")
+                  if chunk.strip()]
+        if not values:
+            raise ValueError("empty sweep value list")
+    else:
+        if cfg.defense != "fedsurrogate":
+            raise ValueError("ablation requires the fedsurrogate defense")
+        key, prefix, values = "variant", "ablate_", VARIANTS
+    return [(f"{prefix}{str(v).replace('.', 'p')}_", f"{key}={v}", set_fields(cfg, {key: v}))
+            for v in values]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        jobs = _jobs(args, resolve_config(args))
         out_dir = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
         os.makedirs(out_dir, exist_ok=True)
-        ext = args.format
-        if args.command == "run":
+        for prefix, label, cfg in jobs:  # each report is written as its run ends
             report = run_experiment(cfg)
-            path = os.path.join(out_dir, f"run_{config_hash(cfg)}.{ext}")
-            emit_report(report, path, format=ext)
-            print(f"wrote {path}")
-            print(f"final MTA {report.final_mta:.4f}  final ASR {report.final_asr:.4f}  "
-                  f"TPR {report.tpr:.4f}  FPR {report.fpr:.4f}")
-        elif args.command == "sweep":
-            typ = config_fields().get(args.parameter, str)
-            values = [_from_text(typ, chunk.strip())
-                      for chunk in args.values.split(",") if chunk.strip()]
-            reports = sweep(cfg, args.parameter, values)
-            for value, report in zip(values, reports):
-                tag = str(value).replace(".", "p")
-                path = os.path.join(
-                    out_dir, f"sweep_{args.parameter}_{tag}_{config_hash(report.config)}.{ext}"
-                )
-                emit_report(report, path, format=ext)
-                print(f"{args.parameter}={value}: ASR {report.final_asr:.4f} "
-                      f"TPR {report.tpr:.4f} FPR {report.fpr:.4f} -> {path}")
-        else:
-            reports = ablate(cfg)
-            for report in reports:
-                path = os.path.join(
-                    out_dir,
-                    f"ablate_{report.config.variant}_{config_hash(report.config)}.{ext}",
-                )
-                emit_report(report, path, format=ext)
-                print(f"variant={report.config.variant}: MTA {report.final_mta:.4f} "
-                      f"ASR {report.final_asr:.4f} -> {path}")
+            path = os.path.join(out_dir, f"{prefix}{config_hash(cfg)}.{args.format}")
+            emit_report(report, path, format=args.format)
+            print(f"{label}: MTA {report.final_mta:.4f} ASR {report.final_asr:.4f} "
+                  f"TPR {report.tpr:.4f} FPR {report.fpr:.4f} -> {path}", flush=True)
     except (ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,8 @@ Conventions (fixed so results are bit-deterministic):
 
 Condensing is one stack walk whose entries carry the lambda at which
 their points exit (None on a cluster's spine); it records each cluster's
-size at birth for the stability sums. A result keeps the labels only.
+size at birth for the stability sums. The result is the labels alone,
+one per point: a cluster id numbered by first point, or -1 for noise.
 
 The test oracle, a naive implementation that shares no helper with
 this module (repeated matrix-scan merging, recursive condensing), is
@@ -29,23 +30,10 @@ this module (repeated matrix-scan merging, recursive condensing), is
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 _LAMBDA_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    labels: tuple[int, ...]           # cluster id >= 0, or -1 for noise
-
-    @property
-    def cluster_sizes(self) -> dict[int, int]:
-        """Points per cluster id, counted from the labels."""
-        return dict(Counter(lbl for lbl in self.labels if lbl >= 0))
-
 
 # Rows of D compared with their transposed columns at a time by
 # _check_matrix: a whole-matrix np.allclose(D, D.T) holds temporaries
@@ -70,10 +58,7 @@ def _check_matrix(D: np.ndarray) -> np.ndarray:
 
 def _core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to each point's min_samples-th nearest other point, in a
-    matrix ``_check_matrix`` has accepted."""
-    n = len(D)
-    if not 1 <= min_samples < n:
-        raise ValueError("need 1 <= min_samples < n")
+    matrix ``_check_matrix`` has accepted, for 1 <= min_samples < n."""
     others = D.copy()
     np.fill_diagonal(others, np.inf)  # never among the first n - 1
     others.partition(min_samples - 1, axis=1)
@@ -277,9 +262,11 @@ def hdbscan(
     min_cluster_size: int,
     min_samples: int,
     selection_epsilon: float = 0.0,
-) -> ClusterResult:
-    """Cluster a precomputed distance matrix; points outside any selected
-    cluster are labeled -1.
+) -> tuple[int, ...]:
+    """Cluster a precomputed distance matrix: each point's cluster id,
+    clusters numbered in order of their first point so the labeling does
+    not depend on tree-traversal order, or -1 for a point outside any
+    selected cluster.
 
     ``selection_epsilon`` suppresses cluster splits at merge distances
     below the given radius: both sides stay inside the parent cluster, so
@@ -294,8 +281,10 @@ def hdbscan(
         raise ValueError("need at least 2 points")
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be >= 2")
+    if not 1 <= min_samples < n:
+        raise ValueError("need 1 <= min_samples < n")
     if n < min_cluster_size:
-        return ClusterResult(tuple([-1] * n))
+        return (-1,) * n
 
     core = _core_distances(D, min_samples)
     children, dists = _single_linkage(_reachability(D, core))
@@ -311,29 +300,14 @@ def hdbscan(
         labels = [-1 if lbl == 0 and not keep[p] else lbl for p, lbl in enumerate(labels)]
         if labels.count(0) < min_cluster_size:
             labels = [-1] * n
-
-    return _canonical_result(labels)
-
-
-def _canonical_result(labels: Sequence[int]) -> ClusterResult:
-    """Renumber clusters by first point of occurrence so the labeling does
-    not depend on internal tree-traversal order."""
     remap: dict[int, int] = {}
-    out = []
-    for lbl in labels:
-        if lbl < 0:
-            out.append(-1)
-            continue
-        if lbl not in remap:
-            remap[lbl] = len(remap)
-        out.append(remap[lbl])
-    return ClusterResult(tuple(out))
+    return tuple(-1 if lbl < 0 else remap.setdefault(lbl, len(remap)) for lbl in labels)
 
 
-def largest_cluster(result: ClusterResult) -> frozenset[int]:
+def largest_cluster(labels: tuple[int, ...]) -> frozenset[int]:
     """Members of the max-size cluster; ties by lower id; empty if all noise."""
-    sizes = result.cluster_sizes
+    sizes = Counter(lbl for lbl in labels if lbl >= 0)
     if not sizes:
         return frozenset()
     best = min(sizes, key=lambda cid: (-sizes[cid], cid))
-    return frozenset(i for i, lbl in enumerate(result.labels) if lbl == best)
+    return frozenset(i for i, lbl in enumerate(labels) if lbl == best)

@@ -25,19 +25,7 @@ BACKGROUND = 0.35
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX file."""
-
-
-class IdxMagicError(IdxFormatError):
-    pass
-
-
-class IdxTruncatedError(IdxFormatError):
-    pass
-
-
-class IdxCountMismatchError(IdxFormatError):
-    pass
+    """Malformed IDX file; the message names the file and the fault."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +56,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TriggerSpec:
-    """A fixed patch written into the feature vector plus a target relabel."""
+    """The feature coordinates a trigger sets to PATCH_VALUE (relabelling
+    to TARGET_LABEL), split round-robin into ``fragments`` parts."""
 
     patch_coords: tuple[int, ...]
-    patch_value: float
-    target_label: int
     fragments: int = 1
 
     def __post_init__(self):
@@ -103,7 +90,7 @@ def corner_patch_trigger(dim: int, fragments: int = 1) -> TriggerSpec:
         for r in range(side - PATCH_SIDE, side)
         for c in range(side - PATCH_SIDE, side)
     ]
-    return TriggerSpec(tuple(coords), PATCH_VALUE, TARGET_LABEL, fragments)
+    return TriggerSpec(tuple(coords), fragments)
 
 
 def class_bits(num_classes: int, dim: int) -> tuple[int, int]:
@@ -163,19 +150,19 @@ def _read_idx(path: str, expected_magic: int) -> tuple[np.ndarray, tuple[int, ..
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
-        raise IdxTruncatedError(f"{path}: shorter than magic header")
+        raise IdxFormatError(f"{path}: shorter than magic header")
     (magic,) = struct.unpack(">i", raw[:4])
     if magic != expected_magic:
-        raise IdxMagicError(f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
+        raise IdxFormatError(f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
     ndims = magic & 0xFF
     header = 4 + 4 * ndims
     if len(raw) < header:
-        raise IdxTruncatedError(f"{path}: truncated dimension header")
+        raise IdxFormatError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndims}i", raw[4:header])
     count = int(np.prod(dims))
     body = np.frombuffer(raw, dtype=np.uint8, offset=header)
     if len(body) < count:
-        raise IdxTruncatedError(f"{path}: {len(body)} bytes, expected {count}")
+        raise IdxFormatError(f"{path}: truncated, {len(body)} bytes, expected {count}")
     return body[:count], dims
 
 
@@ -185,13 +172,30 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels, lbl_dims = _read_idx(labels_path, IDX_LABELS_MAGIC)
     n = img_dims[0]
     if lbl_dims[0] != n:
-        raise IdxCountMismatchError(
-            f"{lbl_dims[0]} labels for {n} images"
-        )
+        raise IdxFormatError(f"{labels_path}: {lbl_dims[0]} labels for the {n} images "
+                             f"of {images_path}")
     dim = int(np.prod(img_dims[1:]))
     feats = pixels.reshape(n, dim).astype(np.float64) / 255.0
     labels = labels.astype(np.int64)
     return Dataset(feats, labels, int(labels.max()) + 1 if n else 10)
+
+
+def _class_split(
+    ds: Dataset, pool: np.ndarray, n_clients: int, alpha: float, rng: np.random.Generator
+) -> list[list[np.ndarray]]:
+    """Per class with samples in ``pool``, those samples shuffled and cut
+    by Dirichlet(alpha) proportions into one slice per client."""
+    pieces = []
+    for c in range(ds.num_classes):
+        class_idx = pool[ds.labels[pool] == c]
+        if not len(class_idx):
+            continue
+        rng.shuffle(class_idx)
+        props = rng.dirichlet(np.full(n_clients, alpha))
+        # cumulative split points; the last client absorbs rounding
+        cuts = np.floor(np.cumsum(props) * len(class_idx)).astype(int)
+        pieces.append(np.split(class_idx, cuts[:-1]))
+    return pieces
 
 
 def dirichlet_partition(
@@ -202,35 +206,34 @@ def dirichlet_partition(
     so a client's array holds its share of class 0, then of class 1, ...
 
     A draw that leaves any client empty is discarded and the whole
-    partition redrawn with an incremented sub-seed. ValueError when
-    ``max_attempts`` draws all leave a client empty: the dataset is too
-    small for the client count at this alpha.
+    partition redrawn with an incremented sub-seed. When ``max_attempts``
+    draws all leave a client empty (too few samples for the client count
+    at this alpha), each client is dealt one sample of a seeded
+    permutation first, ahead of its share of one Dirichlet draw over the
+    rest.
     """
     if n_clients < 2:
         raise ValueError("need at least two clients")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if len(ds) < n_clients:
-        raise ValueError("dataset smaller than client count")
+        raise ValueError(f"dataset of {len(ds)} samples is smaller than "
+                         f"the {n_clients} clients")
+
+    def attempt_rng(attempt: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0xD1, attempt]))
+
+    everyone = np.arange(len(ds))
     for attempt in range(max_attempts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0xD1, attempt]))
-        pieces: list[list[np.ndarray]] = []  # per class, one slice per client
-        for c in range(ds.num_classes):
-            class_idx = np.flatnonzero(ds.labels == c)
-            if not len(class_idx):
-                continue
-            rng.shuffle(class_idx)
-            props = rng.dirichlet(np.full(n_clients, alpha))
-            # cumulative split points; the last client absorbs rounding
-            cuts = np.floor(np.cumsum(props) * len(class_idx)).astype(int)
-            pieces.append(np.split(class_idx, cuts[:-1]))
+        pieces = _class_split(ds, everyone, n_clients, alpha, attempt_rng(attempt))
         shards = [np.concatenate(parts) for parts in zip(*pieces)]
         if all(len(s) for s in shards):
             return shards
-    raise ValueError(
-        f"no partition gives each of {n_clients} clients a sample after "
-        f"{max_attempts} attempts; use more samples per class or a larger alpha"
-    )
+    rng = attempt_rng(max_attempts)
+    order = rng.permutation(len(ds))
+    dealt = np.split(order[:n_clients], n_clients)
+    return [np.concatenate(parts)
+            for parts in zip(dealt, *_class_split(ds, order[n_clients:], n_clients, alpha, rng))]
 
 
 def poison_partition(
@@ -238,9 +241,9 @@ def poison_partition(
     fragment_index: int | None, seed: int,
 ) -> Dataset:
     """Replace exactly floor(pdr * n) samples (seeded choice) by their
-    triggered versions: the patch coordinates set to patch_value (with a
+    triggered versions: the patch coordinates set to PATCH_VALUE (with a
     fragment index, only that round-robin subset of them) and the label
-    replaced by the target."""
+    replaced by TARGET_LABEL."""
     if not 0.0 <= pdr <= 1.0:
         raise ValueError("pdr must be in [0, 1]")
     n = len(ds)
@@ -252,18 +255,18 @@ def poison_partition(
     coords = spec.patch_coords if fragment_index is None else spec.fragment_coords(fragment_index)
     feats = ds.features.copy()
     labels = ds.labels.copy()
-    feats[np.ix_(chosen, coords)] = spec.patch_value
-    labels[chosen] = spec.target_label
+    feats[np.ix_(chosen, coords)] = PATCH_VALUE
+    labels[chosen] = TARGET_LABEL
     return Dataset(feats, labels, ds.num_classes)
 
 
 def triggered_test_set(ds: Dataset, spec: TriggerSpec) -> Dataset:
     """Full-trigger copies of every test sample whose true label differs
-    from the target; labels keep their TRUE values (the caller checks how
-    often predictions hit the target)."""
-    keep = np.flatnonzero(ds.labels != spec.target_label)
+    from TARGET_LABEL; labels keep their TRUE values (``metrics.asr``
+    counts how often predictions hit the target)."""
+    keep = np.flatnonzero(ds.labels != TARGET_LABEL)
     if not len(keep):
         raise ValueError("no eligible samples: all labels equal the target")
     feats = ds.features[keep].copy()
-    feats[:, list(spec.patch_coords)] = spec.patch_value
+    feats[:, list(spec.patch_coords)] = PATCH_VALUE
     return Dataset(feats, ds.labels[keep].copy(), ds.num_classes)

@@ -24,6 +24,7 @@ from .params import (
     ClientUpdate,
     ParameterVector,
     aligned_rows,
+    check_key,
     cosine_distance_rows,
     pairwise_distance_matrix,
     row_dots,
@@ -38,7 +39,7 @@ COARSE_MIN_SAMPLES = 3
 # cluster, so benign micro-structure cannot fragment the honest mass.
 COARSE_SELECTION_EPSILON = 0.5
 
-# the ablations of ``fedsurrogate_round``, in the order ``harness.ablate``
+# the ablations of ``fedsurrogate_round``, in the order ``fedsurrogate ablate``
 # runs them, Stage 3's donor metrics and Stage 1's layer-selection modes
 VARIANTS = ("stage1", "no_rescue", "exclude", "full")
 DONOR_METRICS = ("cosine", "euclidean")
@@ -55,13 +56,12 @@ class LcaConfig:
     mode: str = "top_k"  # one of LCA_MODES
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        check_key(self.top_k >= 1, "lca.top_k", ">= 1", self.top_k)
         if self.mode not in LCA_MODES:
             raise ValueError(f"config key 'lca.mode' is {self.mode!r}, "
                              f"not one of {', '.join(LCA_MODES)}")
-        if self.mode == "mad_threshold" and self.sigma <= 0:
-            raise ValueError("sigma must be positive in mad_threshold mode")
+        check_key(self.mode != "mad_threshold" or self.sigma > 0, "lca.sigma",
+                  "> 0 in mad_threshold mode", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,12 @@ class FilterConfig:
     rescue_layers: tuple[str, ...] = ("fc2", "fc3")
 
     def __post_init__(self):
-        if not 0.0 < self.zeta <= 1.0:
-            raise ValueError("zeta must be in (0, 1]")
-        if not self.iqr_multiplier >= 0:  # a negative one moves the fence below Q3
-            raise ValueError("config key 'filter.iqr_multiplier' must be >= 0, "
-                             f"not {self.iqr_multiplier}")
+        check_key(0.0 < self.zeta <= 1.0, "filter.zeta", "in (0, 1]", self.zeta)
+        # a negative multiplier moves the fence below Q3
+        check_key(self.iqr_multiplier >= 0, "filter.iqr_multiplier", ">= 0",
+                  self.iqr_multiplier)
         if not self.rescue_layers:
-            raise ValueError("rescue_layers must name at least one layer")
+            raise ValueError("config key 'filter.rescue_layers' must name at least one layer")
         if len(set(self.rescue_layers)) < len(self.rescue_layers):
             raise ValueError(f"config key 'filter.rescue_layers' repeats a layer: {self.rescue_layers}")
 
@@ -89,8 +88,11 @@ class AggregationWeights:
     surrogate: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 < self.surrogate <= self.rescued <= self.trusted:
-            raise ValueError("need 0 < surrogate <= rescued <= trusted")
+        check_key(self.surrogate > 0, "weights.surrogate", "> 0", self.surrogate)
+        check_key(self.rescued >= self.surrogate, "weights.rescued",
+                  f">= weights.surrogate ({self.surrogate})", self.rescued)
+        check_key(self.trusted >= self.rescued, "weights.trusted",
+                  f">= weights.rescued ({self.rescued})", self.trusted)
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,10 @@ def coarse_cluster(
     n = len(ids)
     D = pairwise_distance_matrix(features, metric="euclidean")
     ms = min(COARSE_MIN_SAMPLES, n - 1)
-    result = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
+    labels = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
                      selection_epsilon=COARSE_SELECTION_EPSILON)
     majority = n // 2 + 1
-    biggest = largest_cluster(result)
+    biggest = largest_cluster(labels)
     if len(biggest) >= majority:
         trusted = frozenset(ids[i] for i in biggest)
         suspects = frozenset(ids) - trusted
@@ -276,7 +278,7 @@ def alignment_scores(
         raise ValueError("total sample count must be positive")
     omega = counts / counts.sum()
     models = [u.model for u in updates]
-    g_rescue = global_model.restricted(rescue_layers)
+    g_rescue = _layer_rows([global_model], rescue_layers)[0]
     # contiguous, not aligned_rows: over padded rows of the default 596
     # values numpy's broadcast subtracts below take over twice as long
     W = _layer_rows(models, rescue_layers, out=np.empty((len(models), g_rescue.size)))

@@ -1,5 +1,6 @@
-"""Experiment orchestration: full federated training loops, parameter
-sweeps, component ablations, and CSV/JSON reporting.
+"""Experiment orchestration: the experiment config and its dotted-path
+schema, one full federated training loop per config, and CSV/JSON
+reports. Sweeps and ablations are the CLI's lists of configs.
 
 A run is fully described by an :class:`ExperimentConfig` and is
 deterministic under its seed: the master seed fans out to per-purpose and
@@ -57,7 +58,7 @@ from .metrics import DetectionTally, asr, mcc, rates, tally_round
 from . import params
 from .model import MlpArchitecture, TrainConfig, init_model, local_train
 from .model import evaluate as main_task_accuracy  # bound apart, so a wrapper can trace MTA
-from .params import ClientUpdate, ParameterVector, Role, compute_update
+from .params import ClientUpdate, ParameterVector, Role, check_key, compute_update
 from .workers import RoundTrainers
 
 
@@ -110,14 +111,13 @@ class DatasetSpec:
                 if getattr(self, name) is not None:
                     raise ValueError(f"config key 'dataset.{name}' needs "
                                      "'dataset.images_path' set")
-            if self.num_classes < 2 or self.dim < 1 or self.per_class < 1:
-                raise ValueError("dataset counts must be positive")
-            if self.test_per_class < 1:
-                raise ValueError("test_per_class must be positive")
-            if not self.spread >= 0:
-                raise ValueError(f"config key 'dataset.spread' must be >= 0, not {self.spread}")
-            if not 0.0 <= self.background <= 1.0:
-                raise ValueError("config key 'dataset.background' must lie in [0, 1]")
+            for key, least in (("num_classes", 2), ("dim", 1), ("per_class", 1),
+                               ("test_per_class", 1)):
+                check_key(getattr(self, key) >= least, f"dataset.{key}", f">= {least}",
+                          getattr(self, key))
+            check_key(self.spread >= 0, "dataset.spread", ">= 0", self.spread)
+            check_key(0.0 <= self.background <= 1.0, "dataset.background", "in [0, 1]",
+                      self.background)
             try:  # the run's patch trigger needs a square grid of side >= 3
                 corner_patch_trigger(self.dim)
             except ValueError as exc:
@@ -154,25 +154,18 @@ class ExperimentConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_clients < 2:
-            raise ValueError("n_clients must be >= 2")
-        if not 0.0 <= self.mcr <= 1.0:
-            raise ValueError("mcr must be in [0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if min(self.rounds, self.benign_epochs, self.batch) < 1:
-            raise ValueError("rounds, epochs and batch must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for key, least in (("n_clients", 2), ("rounds", 1), ("benign_epochs", 1),
+                           ("batch", 1), ("warmup_epochs", 0), ("warmup_per_class", 1),
+                           ("seed", 0)):
+            check_key(getattr(self, key) >= least, key, f">= {least}", getattr(self, key))
+        check_key(0.0 <= self.mcr <= 1.0, "mcr", "in [0, 1]", self.mcr)
+        check_key(self.alpha > 0, "alpha", "> 0", self.alpha)
+        check_key(self.lr > 0, "lr", "> 0", self.lr)
         for key, accepted in (("attack_kind", ATTACKS), ("defense", DEFENSES),
                               ("donor_metric", DONOR_METRICS), ("variant", VARIANTS)):
             if getattr(self, key) not in accepted:
                 raise ValueError(f"config key {key!r} is {getattr(self, key)!r}, "
                                  f"not one of {', '.join(accepted)}")
-        if self.warmup_epochs < 0 or self.warmup_per_class < 1:
-            raise ValueError("warmup fields must be non-negative / positive")
-        if self.seed < 0:
-            raise ValueError(f"config key 'seed' must be non-negative, not {self.seed}")
         if not self.hidden_dims or min(self.hidden_dims) < 1:
             raise ValueError("config key 'hidden_dims' must list at least one "
                              f"positive width, not {self.hidden_dims}")
@@ -442,7 +435,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 RoundRecord(
                     round=rnd,
                     mta=main_task_accuracy(arch, global_model, test),
-                    asr=asr(arch, global_model, triggered, trigger.target_label)
+                    asr=asr(arch, global_model, triggered)
                     if triggered is not None else 0.0,
                     n_flagged=len(outcome.confirmed_malicious),
                     n_rescued=len(outcome.rescued),
@@ -460,23 +453,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         mcc=mcc(tally),
         wall_clock=time.perf_counter() - start,
     )
-
-
-def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> list[RunReport]:
-    """One run per value of the config leaf ``parameter`` (a dotted path
-    such as ``filter.zeta``), shared base seed. Every value is checked
-    before the first run starts."""
-    if not values:
-        raise ValueError("empty sweep value list")
-    configs = [set_fields(cfg, {parameter: v}) for v in values]
-    return [run_experiment(c) for c in configs]
-
-
-def ablate(cfg: ExperimentConfig) -> list[RunReport]:
-    """Run the four pipeline variants on the same seed."""
-    if cfg.defense != "fedsurrogate":
-        raise ValueError("ablation requires the fedsurrogate defense")
-    return [run_experiment(dataclasses.replace(cfg, variant=v)) for v in VARIANTS]
 
 
 def report_to_csv(report: RunReport) -> str:

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import Dataset
+from .data import TARGET_LABEL, Dataset
 from .model import MlpArchitecture, predict
 from .params import ParameterVector, Role
 
@@ -28,13 +28,11 @@ class DetectionTally:
             raise ValueError("counts must be non-negative")
 
 
-def asr(
-    arch: MlpArchitecture, params: ParameterVector, triggered: Dataset, target_label: int
-) -> float:
+def asr(arch: MlpArchitecture, params: ParameterVector, triggered: Dataset) -> float:
     """Attack success rate: fraction of the triggered test set
-    (``data.triggered_test_set``) classified as ``target_label``."""
+    (``data.triggered_test_set``) classified as ``TARGET_LABEL``."""
     preds = predict(arch, params, triggered.features)
-    return float(np.mean(preds == target_label))
+    return float(np.mean(preds == TARGET_LABEL))
 
 
 def tally_round(

@@ -26,6 +26,13 @@ class SchemaError(ValueError):
     """Layer-schema violation: unknown name, bad offsets, length mismatch."""
 
 
+def check_key(ok: bool, key: str, rule: str, value: object) -> None:
+    """Raise the ValueError ``config key 'lca.top_k' must be >= 1, not 0``
+    unless ``ok``: a config section's range check on its dotted leaf."""
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {rule}, not {value}")
+
+
 class Role(str, Enum):
     BENIGN = "benign"
     MALICIOUS = "malicious"
@@ -103,10 +110,6 @@ class ParameterVector:
     def layer(self, name: str) -> np.ndarray:
         lo, hi = self.schema.bounds(name)
         return self.values[lo:hi]
-
-    def restricted(self, names: Sequence[str]) -> np.ndarray:
-        """Concatenation of the given layers, in the order given."""
-        return np.concatenate([self.layer(n) for n in names])
 
 
 @dataclass(frozen=True)

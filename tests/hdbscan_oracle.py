@@ -7,12 +7,10 @@ max(d, 1e-12), the median + 3 * MAD root fence, clusters numbered by
 first point) with a different algorithm: every step is its own plain
 loop, repeated matrix scans merge the clusters and recursion over
 explicit point sets condenses the tree. It imports nothing from
-``fedsurrogate.clustering`` but the result type, so a fault in a
-shared helper cannot hide in both.
+``fedsurrogate.clustering``, so a fault in a shared helper cannot hide
+in both.
 """
 import numpy as np
-
-from fedsurrogate.clustering import ClusterResult
 
 
 def lam(dist):
@@ -115,8 +113,7 @@ def canonical_result(labels):
     for lbl in labels:
         if lbl >= 0 and lbl not in remap:
             remap[lbl] = len(remap)
-    out = tuple(remap.get(lbl, -1) for lbl in labels)
-    return ClusterResult(out)
+    return tuple(remap.get(lbl, -1) for lbl in labels)
 
 
 def hdbscan_reference(D, min_cluster_size, min_samples, selection_epsilon=0.0):
@@ -124,7 +121,7 @@ def hdbscan_reference(D, min_cluster_size, min_samples, selection_epsilon=0.0):
     D = np.asarray(D, dtype=np.float64)
     n = len(D)
     if n < min_cluster_size:
-        return ClusterResult(tuple([-1] * n))
+        return (-1,) * n
     children, dists = naive_merge_tree(mutual_reachability(D, min_samples))
     clusters, point_info = naive_condense(
         n, children, dists, min_cluster_size, selection_epsilon

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from fedsurrogate.clustering import (
 )
 
 from hdbscan_oracle import hdbscan_reference, mutual_reachability, naive_merge_tree
+
+
+def cluster_sizes(labels):
+    """Points per cluster id."""
+    return dict(Counter(lbl for lbl in labels if lbl >= 0))
 
 
 def blob_matrix(sizes, intra=0.05, inter=1.0, seed=0):
@@ -45,9 +51,10 @@ class TestCoreDistances:
         assert _core_distances(D, min_samples=1).tolist() == [1.0, 1.0, 1.0]
 
     def test_invalid_min_samples(self):
-        D = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            _core_distances(D, min_samples=3)
+        # (5, 0): checked before the all-noise return of n < min_cluster_size
+        for min_cluster_size, min_samples in ((2, 3), (5, 0)):
+            with pytest.raises(ValueError, match="min_samples"):
+                hdbscan(np.zeros((3, 3)), min_cluster_size, min_samples)
 
     def test_asymmetric_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -59,17 +66,17 @@ class TestHdbscan:
     def test_two_blobs_exact_sizes(self):
         D, owner = blob_matrix([8, 12])
         res = hdbscan(D, min_cluster_size=5, min_samples=3)
-        found = sorted(res.cluster_sizes.values())
+        found = sorted(cluster_sizes(res).values())
         assert found == [8, 12]
         # blob membership is respected exactly
-        for cid in res.cluster_sizes:
-            members = {i for i, lbl in enumerate(res.labels) if lbl == cid}
+        for cid in cluster_sizes(res):
+            members = {i for i, lbl in enumerate(res) if lbl == cid}
             assert len({int(owner[i]) for i in members}) == 1
 
     def test_all_identical_single_cluster(self):
         D = np.zeros((6, 6))
         res = hdbscan(D, min_cluster_size=3, min_samples=2)
-        assert res.cluster_sizes == {0: 6}
+        assert cluster_sizes(res) == {0: 6}
 
     def test_isolated_point_is_noise(self):
         n = 10
@@ -77,21 +84,21 @@ class TestHdbscan:
         full[:9, :9] = 0.05
         np.fill_diagonal(full, 0.0)
         res = hdbscan(full, min_cluster_size=4, min_samples=2)
-        assert res.labels[9] == -1
-        assert sum(1 for lbl in res.labels if lbl >= 0) == 9
+        assert res[9] == -1
+        assert sum(1 for lbl in res if lbl >= 0) == 9
 
     def test_too_few_points_all_noise(self):
         D = np.zeros((3, 3))
         res = hdbscan(D, min_cluster_size=5, min_samples=2)
-        assert res.labels == (-1, -1, -1)
+        assert res == (-1, -1, -1)
 
     def test_selection_epsilon_suppresses_tight_split(self):
         # two tight sub-blobs 0.3 apart, both within epsilon: one cluster
         D, _ = blob_matrix([5, 5], intra=0.05, inter=0.3)
         split = hdbscan(D, min_cluster_size=3, min_samples=2)
         merged = hdbscan(D, min_cluster_size=3, min_samples=2, selection_epsilon=0.5)
-        assert len(split.cluster_sizes) == 2
-        assert sorted(merged.cluster_sizes.values()) == [10]
+        assert len(cluster_sizes(split)) == 2
+        assert sorted(cluster_sizes(merged).values()) == [10]
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -123,8 +130,7 @@ class TestReferenceAgreement:
         ms = int(rng.integers(1, 3))
         a = hdbscan(D, mcs, ms)
         b = hdbscan_reference(D, mcs, ms)
-        assert a.labels == b.labels
-        assert a.cluster_sizes == b.cluster_sizes
+        assert a == b
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -135,7 +141,7 @@ class TestReferenceAgreement:
         D = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         a = hdbscan(D, 3, 2)
         b = hdbscan_reference(D, 3, 2)
-        assert a.labels == b.labels
+        assert a == b
 
     def test_epsilon_agrees_with_reference(self):
         D, _ = blob_matrix([5, 5, 6], intra=0.05, inter=0.4, seed=3)
@@ -144,7 +150,7 @@ class TestReferenceAgreement:
         for eps in (0.25, 0.5):
             a = hdbscan(D, 3, 2, selection_epsilon=eps)
             b = hdbscan_reference(D, 3, 2, selection_epsilon=eps)
-            assert a.labels == b.labels, eps
+            assert a == b, eps
 
     @pytest.mark.parametrize("seed", range(40))
     def test_merge_distances_match_reference(self, seed):
@@ -200,7 +206,7 @@ class TestPrimTies:
         assert merge_sequence(n, *_single_linkage(MR)) == want
         mcs = int(rng.integers(2, max(3, n // 3)))
         eps = float(rng.choice([0.0, 1.5, 2.5]))
-        assert hdbscan(D, mcs, ms, eps).labels == hdbscan_reference(D, mcs, ms, eps).labels
+        assert hdbscan(D, mcs, ms, eps) == hdbscan_reference(D, mcs, ms, eps)
 
 
 def test_single_linkage_reads_the_upper_triangle_of_a_near_symmetric_matrix():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsurrogate.data import (
+    PATCH_VALUE,
+    TARGET_LABEL,
     Dataset,
-    IdxCountMismatchError,
-    IdxMagicError,
-    IdxTruncatedError,
+    IdxFormatError,
     TriggerSpec,
     corner_patch_trigger,
     dirichlet_partition,
@@ -76,13 +76,13 @@ class TestIdx:
     def test_wrong_magic(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, [0])
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(IdxFormatError, match=r"lbl\.idx: magic 0x00000801, expected 0x00000803"):
             load_idx(lbl, lbl)
 
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, [0, 1, 0])
-        with pytest.raises(IdxCountMismatchError):
+        with pytest.raises(IdxFormatError, match=r"lbl\.idx: 3 labels for the 2 images of .*img\.idx"):
             load_idx(img, lbl)
 
     def test_truncated(self, tmp_path):
@@ -90,7 +90,7 @@ class TestIdx:
         img, lbl = write_idx_pair(tmp_path, images, [0, 1])
         data = open(img, "rb").read()
         (tmp_path / "short.idx").write_bytes(data[:-3])
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(IdxFormatError, match=r"short\.idx: truncated, 5 bytes, expected 8"):
             load_idx(str(tmp_path / "short.idx"), lbl)
 
 
@@ -132,15 +132,33 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_partition(ds, 5, alpha=0.0, seed=0)
 
-    def test_failed_redraws_raise_value_error(self):
+    def test_failed_redraws_deal_one_sample_each(self):
+        # 40 samples over 40 clients: every draw leaves some client empty,
+        # so the fallback deals each client one sample and nothing is left
         ds = generate_synthetic(4, 16, 10, 0.1, seed=2)
-        with pytest.raises(ValueError, match="after 5 attempts"):
-            dirichlet_partition(ds, 40, alpha=0.5, seed=0, max_attempts=5)
+        shards = dirichlet_partition(ds, 40, alpha=0.5, seed=0, max_attempts=5)
+        assert [len(s) for s in shards] == [1] * 40
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(40))
+        again = dirichlet_partition(ds, 40, alpha=0.5, seed=0, max_attempts=5)
+        assert all(map(np.array_equal, shards, again))
+
+    @pytest.mark.parametrize("n_clients, alpha", [(80, 0.1), (1000, 0.5)])
+    def test_fallback_covers_every_sample_and_keeps_the_skew(self, n_clients, alpha):
+        # the default data size: 4 classes of 300 samples
+        ds = generate_synthetic(4, 16, 300, 0.05, seed=7)
+        shards = dirichlet_partition(ds, n_clients, alpha, seed=3)
+        assert len(shards) == n_clients and min(len(s) for s in shards) >= 1
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(len(ds)))
+        entropies = []
+        for shard in shards:
+            p = np.bincount(ds.labels[shard], minlength=4) / len(shard)
+            entropies.append(-np.sum(p[p > 0] * np.log(p[p > 0])))
+        assert np.mean(entropies) < 0.5 * np.log(4)
 
 
 class TestTrigger:
     def test_round_robin_fragment(self):
-        spec = TriggerSpec(tuple(range(9)), 1.0, 1, fragments=4)
+        spec = TriggerSpec(tuple(range(9)), fragments=4)
         assert spec.fragment_coords(0) == (0, 4, 8)
         assert spec.fragment_coords(1) == (1, 5)
 
@@ -152,7 +170,8 @@ class TestTrigger:
 
     def test_poison_writes_only_its_fragment_and_the_target(self):
         ds = Dataset(np.zeros((8, 5)), np.array([0, 1, 2, 1, 0, 1, 2, 1]), 3)
-        spec = TriggerSpec((0, 1, 3), 1.0, target_label=1, fragments=2)
+        spec = TriggerSpec((0, 1, 3), fragments=2)
+        assert (PATCH_VALUE, TARGET_LABEL) == (1.0, 1)
         for fragment_index, coords in ((None, [0, 1, 3]), (0, [0, 3]), (1, [1])):
             out = poison_partition(ds, 0.5, spec, fragment_index, seed=4)
             chosen = out.features.any(axis=1)
@@ -176,14 +195,14 @@ class TestTrigger:
         spec = corner_patch_trigger(64)
         out = poison_partition(ds, 1.0, spec, fragment_index=None, seed=0)
         assert np.all(out.labels == 1)
-        assert np.all(out.features[:, list(spec.patch_coords)] == spec.patch_value)
+        assert np.all(out.features[:, list(spec.patch_coords)] == PATCH_VALUE)
 
     def test_triggered_test_set_excludes_target(self):
         ds = generate_synthetic(4, 64, 10, 0.1, seed=0)
         spec = corner_patch_trigger(64)
         trig = triggered_test_set(ds, spec)
         assert 1 not in trig.labels
-        assert np.all(trig.features[:, list(spec.patch_coords)] == spec.patch_value)
+        assert np.all(trig.features[:, list(spec.patch_coords)] == PATCH_VALUE)
 
     @given(pdr=st.floats(0.0, 1.0), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)

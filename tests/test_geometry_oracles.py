@@ -190,7 +190,7 @@ def test_round_donors_match_oracle(seed, metric):
             donor_metric=metric, variant="full",
         )
     assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
-    features = [u.delta.restricted(outcome.critical_layers) for u in updates]
+    features = [np.concatenate([u.delta.layer(n) for n in outcome.critical_layers]) for u in updates]
     for flagged, donor in outcome.donors.items():
         assert donor == donor_oracle(
             flagged, outcome.coarse_trusted | outcome.rescued, features, metric)
@@ -227,7 +227,7 @@ def test_round_donors_equal_full_matrix_donors_on_ties(seed):
             donor_metric="cosine", variant="full",
         )
     assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
-    features = np.array([u.delta.restricted(outcome.critical_layers) for u in updates])
+    features = np.array([np.concatenate([u.delta.layer(n) for n in outcome.critical_layers]) for u in updates])
     D = pairwise_distance_matrix(features, "cosine")
     index_of = {c: c for c in range(len(updates))}
     trusted = outcome.coarse_trusted | outcome.rescued
@@ -371,8 +371,8 @@ def test_overflow_in_a_worker_raises(which, monkeypatch, pools):
 def alignment_oracle(updates, global_model, rescue_layers):
     counts = np.array([u.sample_count for u in updates], dtype=np.float64)
     omega = counts / counts.sum()
-    W = np.stack([u.model.restricted(rescue_layers) for u in updates])
-    G = W - global_model.restricted(rescue_layers)
+    W = np.stack([np.concatenate([u.model.layer(n) for n in rescue_layers]) for u in updates])
+    G = W - np.concatenate([global_model.layer(n) for n in rescue_layers])
     w_star = omega @ W
     g_star = omega @ G
     g_norm = float(np.linalg.norm(g_star))

@@ -19,15 +19,17 @@ from fedsurrogate.harness import (
     ExperimentConfig,
     HonestMajorityWarning,
     _derive_seed,
-    ablate,
     config_fields,
     config_hash,
     emit_report,
     report_to_csv,
     report_to_json,
     run_experiment,
-    sweep,
 )
+
+# the smallest experiment the CLI tests run
+SMALL = ["--rounds", "1", "--n-clients", "6", "--warmup-epochs", "1",
+         "--dataset-per-class", "40", "--dataset-test-per-class", "10"]
 
 
 def quick_config(**overrides):
@@ -175,28 +177,64 @@ class TestReports:
         assert len(report.records) == 3 and len(built) == builds
 
 
+def _written(out: str) -> list[tuple[str, dict]]:
+    """(label, the report's JSON config) of each line the CLI printed."""
+    pairs = []
+    for line in out.splitlines():
+        label, path = re.fullmatch(
+            r"(\S+): MTA [\d.]+ ASR [\d.]+ TPR [\d.]+ FPR [\d.]+ -> (.*)", line).groups()
+        pairs.append((label, json.loads(Path(path).read_text())["config"]))
+    return pairs
+
+
 class TestSweepAblate:
-    def test_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            sweep(quick_config(), "nonsense", [1])
+    @pytest.fixture(autouse=True)
+    def out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDSURROGATE_OUTPUT_DIR", str(tmp_path))
+        return tmp_path
 
-    def test_sweep_applies_values(self):
-        reports = sweep(quick_config(rounds=1), "mcr", [0.1, 0.2])
-        assert [r.config.mcr for r in reports] == [0.1, 0.2]
+    def test_unknown_parameter(self, out_dir, capsys):
+        assert cli_main(["sweep", "--parameter", "nonsense", "--values", "1", *SMALL]) == 2
+        assert "'nonsense'" in capsys.readouterr().err and not any(out_dir.iterdir())
 
-    def test_ablate_requires_fedsurrogate(self):
-        with pytest.raises(ValueError):
-            ablate(quick_config(defense="fedavg"))
+    def test_empty_value_list(self, out_dir, capsys):
+        assert cli_main(["sweep", "--parameter", "mcr", "--values", " , ", *SMALL]) == 2
+        assert capsys.readouterr().err == "error: empty sweep value list\n"
 
-    def test_ablate_variants(self):
-        reports = ablate(quick_config(rounds=1))
-        assert [r.config.variant for r in reports] == [
-            "stage1", "no_rescue", "exclude", "full"
-        ]
+    def test_every_value_is_checked_before_the_first_run(self, out_dir, capsys):
+        assert cli_main(["sweep", "--parameter", "mcr", "--values", "0.1,1.5", *SMALL]) == 2
+        assert "'mcr' must be in [0, 1], not 1.5" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
+    def test_sweep_applies_values(self, capsys):
+        assert cli_main(["sweep", "--parameter", "mcr", "--values", "0.1,0.2",
+                         "--format", "json", *SMALL]) == 0
+        written = _written(capsys.readouterr().out)
+        assert [(label, c["mcr"]) for label, c in written] == [("mcr=0.1", 0.1), ("mcr=0.2", 0.2)]
+
+    def test_ablate_requires_fedsurrogate(self, out_dir, capsys):
+        assert cli_main(["ablate", "--defense", "fedavg", *SMALL]) == 2
+        assert "ablation requires the fedsurrogate defense" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
+    def test_ablate_variants(self, capsys):
+        assert cli_main(["ablate", "--format", "json", *SMALL]) == 0
+        written = _written(capsys.readouterr().out)
+        assert [(label, c["variant"]) for label, c in written] == [
+            (f"variant={v}", v) for v in ("stage1", "no_rescue", "exclude", "full")]
+
+    def test_a_failing_sweep_keeps_the_reports_before_it(self, out_dir, capsys):
+        # 160 training samples cannot give each of 400 clients one
+        assert cli_main(["sweep", "--parameter", "n_clients", "--values", "6,400", *SMALL]) == 2
+        out, err = capsys.readouterr()
+        (done,) = out_dir.iterdir()
+        assert done.name.startswith("sweep_n_clients_6_") and done.read_text().startswith("round,")
+        assert out.startswith("n_clients=6: MTA ") and out.endswith(f" -> {done}\n")
+        assert err == "error: dataset of 160 samples is smaller than the 400 clients\n"
 
 
 class TestCli:
-    def test_run_writes_file(self, tmp_path, monkeypatch):
+    def test_run_writes_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FEDSURROGATE_OUTPUT_DIR", str(tmp_path))
         rc = cli_main([
             "run", "--rounds", "2", "--n-clients", "6", "--warmup-epochs", "1",
@@ -206,6 +244,8 @@ class TestCli:
         files = list(tmp_path.glob("run_*.csv"))
         assert len(files) == 1
         assert files[0].read_text().startswith("round,")
+        assert re.fullmatch(r"run: MTA [\d.]+ ASR [\d.]+ TPR [\d.]+ FPR [\d.]+ -> (.*)\n",
+                            capsys.readouterr().out).group(1) == str(files[0])
 
     def test_validation_failure_nonzero_exit(self, capsys):
         assert cli_main(["run", "--mcr", "1.5"]) != 0
@@ -228,11 +268,12 @@ class TestCli:
         assert payload["config"]["filter"]["zeta"] == 0.2
 
     def test_unpartitionable_dataset_is_an_error_exit(self, tmp_path, monkeypatch, capsys):
-        # 320 clients over the default 300 samples per class: every
-        # Dirichlet draw leaves some client empty
+        # 320 clients over 4 classes of 40 samples: fewer samples than clients
         monkeypatch.setenv("FEDSURROGATE_OUTPUT_DIR", str(tmp_path))
-        assert cli_main(["run", "--n-clients", "320", "--rounds", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: no partition gives each of 320")
+        assert cli_main(["run", "--n-clients", "320", "--rounds", "1",
+                         "--dataset-per-class", "40"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: dataset of 160 samples is smaller than the 320 clients")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -352,6 +393,34 @@ class TestConfigSchema:
         ("variant: half\n", "'variant' is 'half', not one of stage1, no_rescue, exclude, full"),
         ("donor_metric: l1\n", "'donor_metric' is 'l1', not one of cosine, euclidean"),
         ("lca:\n  mode: median\n", "'lca.mode' is 'median', not one of top_k, mad_threshold"),
+        ("n_clients: 1\n", "'n_clients' must be >= 2, not 1"),
+        ("mcr: 1.5\n", "'mcr' must be in [0, 1], not 1.5"),
+        ("alpha: 0.0\n", "'alpha' must be > 0, not 0.0"),
+        ("rounds: 0\n", "'rounds' must be >= 1, not 0"),
+        ("benign_epochs: 0\n", "'benign_epochs' must be >= 1, not 0"),
+        ("batch: 0\n", "'batch' must be >= 1, not 0"),
+        ("lr: -0.1\n", "'lr' must be > 0, not -0.1"),
+        ("warmup_epochs: -1\n", "'warmup_epochs' must be >= 0, not -1"),
+        ("warmup_per_class: 0\n", "'warmup_per_class' must be >= 1, not 0"),
+        ("dataset:\n  num_classes: 1\n", "'dataset.num_classes' must be >= 2, not 1"),
+        ("dataset:\n  dim: 0\n", "'dataset.dim' must be >= 1, not 0"),
+        ("dataset:\n  per_class: 0\n", "'dataset.per_class' must be >= 1, not 0"),
+        ("dataset:\n  test_per_class: 0\n", "'dataset.test_per_class' must be >= 1, not 0"),
+        ("attack:\n  poison_rate: 0.0\n", "'attack.poison_rate' must be in (0, 1], not 0.0"),
+        ("attack:\n  malicious_epochs: 0\n", "'attack.malicious_epochs' must be >= 1, not 0"),
+        ("attack:\n  neurotoxin_ratio: 1.0\n",
+         "'attack.neurotoxin_ratio' must be in (0, 1), not 1.0"),
+        ("attack:\n  csa_lambda: -1.0\n", "'attack.csa_lambda' must be >= 0, not -1.0"),
+        ("attack:\n  cla_top_k: 0\n", "'attack.cla_top_k' must be >= 1, not 0"),
+        ("attack:\n  boost: 0.5\n", "'attack.boost' must be >= 1, not 0.5"),
+        ("lca:\n  top_k: 0\n", "'lca.top_k' must be >= 1, not 0"),
+        ("lca:\n  mode: mad_threshold\n  sigma: 0.0\n",
+         "'lca.sigma' must be > 0 in mad_threshold mode, not 0.0"),
+        ("filter:\n  zeta: 2.0\n", "'filter.zeta' must be in (0, 1], not 2.0"),
+        ("filter:\n  rescue_layers: []\n", "'filter.rescue_layers' must name at least one layer"),
+        ("weights:\n  surrogate: 0.0\n", "'weights.surrogate' must be > 0, not 0.0"),
+        ("weights:\n  rescued: 0.2\n", "'weights.rescued' must be >= weights.surrogate (0.3), not 0.2"),
+        ("weights:\n  trusted: 0.5\n", "'weights.trusted' must be >= weights.rescued (0.7), not 0.5"),
     ])
     def test_bad_key_exits_2_naming_it(self, text, key, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.yaml"

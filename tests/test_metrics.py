@@ -26,13 +26,13 @@ class TestAsr:
         arch = MlpArchitecture((64, 4, 4))
         triggered = triggered_test_set(generate_synthetic(4, 64, 10, 0.1, seed=0),
                                        corner_patch_trigger(64))
-        assert asr(arch, constant_class_model(arch, 1), triggered, 1) == 1.0
+        assert asr(arch, constant_class_model(arch, 1), triggered) == 1.0
 
     def test_never_target_is_zero(self):
         arch = MlpArchitecture((64, 4, 4))
         triggered = triggered_test_set(generate_synthetic(4, 64, 10, 0.1, seed=0),
                                        corner_patch_trigger(64))
-        assert asr(arch, constant_class_model(arch, 2), triggered, 1) == 0.0
+        assert asr(arch, constant_class_model(arch, 2), triggered) == 0.0
 
     def test_all_target_class_rejected(self):
         ds = Dataset(np.zeros((5, 64)), np.ones(5, dtype=np.int64), 4)

@@ -2,10 +2,12 @@
 
 Each config leaf's dotted path (``filter.zeta``) is its YAML key within
 its section, its flag (``--filter-zeta``) and its ``sweep --parameter``
-name. A YAML config file, such as a report's JSON ``config`` block, may
-supply any subset of fields, each key once, and explicit flags override
-it. The ``FEDSURROGATE_OUTPUT_DIR`` environment variable overrides the
-output directory.
+name; a sweep over a tuple leaf separates its tuples with ``;``
+(``--values "24,12;32,16"``, reports tagged ``24-12`` and ``32-16``).
+A YAML config file, such as a report's JSON ``config`` block, may
+supply any subset of fields, each key once, and explicit flags
+override it. The ``FEDSURROGATE_OUTPUT_DIR`` environment variable
+overrides the output directory.
 
 Each command is a list of experiments, all configs checked before the
 first runs. Each report is written, and its line
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--parameter", required=True,
                          help="config field to sweep (e.g. filter.zeta, mcr, n_clients)")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated sweep values")
+                         help="comma-separated sweep values; for a tuple field, "
+                              "semicolon-separated tuples (24,12;32,16)")
     p_ablate = sub.add_parser("ablate", help="run the pipeline ablation variants")
     _add_common_flags(p_ablate)
     return parser
@@ -141,7 +144,8 @@ def _jobs(args: argparse.Namespace,
     if args.command == "sweep":
         key, prefix = args.parameter, f"sweep_{args.parameter}_"
         typ = config_fields().get(key, str)
-        values = [_from_text(typ, chunk.strip()) for chunk in args.values.split(",")
+        sep = ";" if typing.get_origin(typ) is tuple else ","  # a tuple holds commas
+        values = [_from_text(typ, chunk.strip()) for chunk in args.values.split(sep)
                   if chunk.strip()]
         if not values:
             raise ValueError("empty sweep value list")
@@ -149,8 +153,9 @@ def _jobs(args: argparse.Namespace,
         if cfg.defense != "fedsurrogate":
             raise ValueError("ablation requires the fedsurrogate defense")
         key, prefix, values = "variant", "ablate_", VARIANTS
-    return [(f"{prefix}{str(v).replace('.', 'p')}_", f"{key}={v}", set_fields(cfg, {key: v}))
-            for v in values]
+    texts = [",".join(map(str, v)) if isinstance(v, list) else str(v) for v in values]
+    return [(f"{prefix}{text.replace(',', '-').replace('.', 'p')}_", f"{key}={text}",
+             set_fields(cfg, {key: v})) for text, v in zip(texts, values)]
 
 
 def main(argv: list[str] | None = None) -> int:

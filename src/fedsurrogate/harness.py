@@ -311,10 +311,12 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     if ds.images_path is not None:
         train = load_idx(ds.images_path, ds.labels_path)
         test = load_idx(ds.test_images_path, ds.test_labels_path)
+        if not len(test):
+            raise ValueError("config key 'dataset.test_images_path': the file holds no images")
         if test.dim != train.dim:
             raise ValueError(f"config key 'dataset.test_images_path': images of {test.dim} "
                              f"pixels, the training images have {train.dim}")
-        if len(test) and test.labels.max() >= train.num_classes:
+        if test.labels.max() >= train.num_classes:
             raise ValueError(f"config key 'dataset.test_labels_path': label "
                              f"{test.labels.max()} is outside the training classes "
                              f"0..{train.num_classes - 1}")

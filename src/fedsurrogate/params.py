@@ -6,7 +6,11 @@ can be shared across threads without copies. The (n, width) arrays the
 geometry reads and writes row by row (a round's deltas, feature copies,
 scratch blocks) come from ``aligned_rows``, whose rows each start on a
 64-byte boundary: numpy's vector loops run at about twice the speed
-over rows that do not split cache lines, and give the same bits.
+over rows that do not split cache lines, and give the same bits. Both
+O(n^2 P) distance loops keep the rows they reuse in L2 cache and read
+the rest of the matrix once per block of them: the Euclidean loop a
+block of EUCLIDEAN_BLOCK_ROWS columns of the triangle, the cosine rows
+a batch of up to EUCLIDEAN_BLOCK_ROWS gathered rows.
 """
 from __future__ import annotations
 
@@ -155,7 +159,9 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 # Rows held at once by each geometry buffer, and the fewest matrix rows
-# per geometry thread.
+# per geometry thread. A block of the Euclidean loop and a batch of
+# gathered cosine rows are this many rows, which stay in L2 (686 KB at
+# 2676 columns) while the loop streams the rest of the matrix past them.
 EUCLIDEAN_BLOCK_ROWS = 32
 
 
@@ -187,7 +193,9 @@ def _split_rows(
     """Run ``fill(slice(k, count, w), buf)`` for k < w: output rows k,
     k + w, ... of ``count``, and a scratch buffer of
     min(EUCLIDEAN_BLOCK_ROWS, count) aligned rows of ``width`` for that
-    part alone. w is the number of CPUs this process may use, at most one
+    part alone, which the part keeps in its core's L2 cache: the
+    differences of one Euclidean block, or one batch of gathered cosine
+    rows. w is the number of CPUs this process may use, at most one
     per EUCLIDEAN_BLOCK_ROWS rows of the n-row matrix and one per output
     row. With w = 1 (always when n <= EUCLIDEAN_BLOCK_ROWS) ``fill``
     runs on the calling thread; otherwise each part runs on a thread of
@@ -222,20 +230,31 @@ def _euclidean_distances(X: np.ndarray) -> np.ndarray:
     """|x_i - x_j| from explicit differences, at most
     EUCLIDEAN_BLOCK_ROWS rows at a time. The expansion
     |a|^2 + |b|^2 - 2 a.b would cancel for close pairs, which are the
-    ones the clustering's selection radius compares. Row i of the upper
-    triangle goes to part i mod w of ``_split_rows``, which balances the
-    parts' shares of the triangle."""
+    ones the clustering's selection radius compares.
+
+    The outer loop runs over blocks [lo, hi) of EUCLIDEAN_BLOCK_ROWS
+    columns. Inside one, every row i < hi - 1 takes its differences with
+    X[max(lo, i + 1):hi] in its part's buffer, and the dot of each with
+    itself goes into D in place. The block and the buffer stay in L2
+    while each row X[i] is read once per block; a loop over rows outside
+    would read the whole matrix from memory once per row. Row i goes to
+    part i mod w of ``_split_rows``, which balances the parts' shares of
+    the triangle. One ``np.sqrt`` over D at the end takes the roots,
+    which are correctly rounded, so each is the root of its own pair."""
     n, width = X.shape
     D = np.zeros((n, n))
 
     def fill(part: slice, buf: np.ndarray) -> None:
-        for i in range(n - 1)[part]:
-            for lo in range(i + 1, n, EUCLIDEAN_BLOCK_ROWS):
-                hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
-                diff = np.subtract(X[lo:hi], X[i], out=buf[: hi - lo])
-                D[i, lo:hi] = np.sqrt(row_dots(diff, diff))
+        for lo in range(0, n, EUCLIDEAN_BLOCK_ROWS):
+            hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
+            for i in range(hi - 1)[part]:
+                j = lo if i < lo else i + 1
+                diff = np.subtract(X[j:hi], X[i], out=buf[: hi - j])
+                # row_dots(diff, diff), written in place
+                np.matmul(diff[:, None, :], diff[..., None], out=D[i, j:hi, None, None])
 
     _split_rows(fill, n - 1, n, width)
+    np.sqrt(D, out=D)
     return D + D.T
 
 
@@ -244,24 +263,30 @@ def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     Entry (i, j) is the BLAS dot X[j] . X[i], which has the bits of
     X[i] . X[j]: each product commutes exactly and the sum runs in the
     same order. So the matrix is symmetric and identical rows tie
-    exactly, whichever rows are asked for. The rows are split over
-    threads as ``_split_rows`` describes; each gathers up to
-    EUCLIDEAN_BLOCK_ROWS of its rows of X at a time and takes their dots
-    with every row of X in one stacked matmul, because numpy releases
-    the GIL only in a matmul of more than 500 stacked products."""
+    exactly, whichever rows are asked for, in whatever order. The rows
+    are split over threads as ``_split_rows`` describes; each gathers up
+    to EUCLIDEAN_BLOCK_ROWS of its rows of X at a time and takes their
+    dots with every row of X in one stacked matmul, because numpy
+    releases the GIL only in a matmul of more than 500 stacked products.
+    The matmul runs over the rows of X outside and the gathered rows
+    inside, so the gathered rows stay in L2 and X is read once per
+    batch, not once per gathered row."""
     X = np.asarray(X, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.intp)
     G = np.empty((len(rows), len(X)))
 
     def fill(part: slice, buf: np.ndarray) -> None:
-        mine, out = rows[part], G[part, :, None, None]
+        mine, out = rows[part], G[part].T[:, :, None, None]
         for lo in range(0, len(mine), EUCLIDEAN_BLOCK_ROWS):
             hi = min(lo + EUCLIDEAN_BLOCK_ROWS, len(mine))
             # row by row: np.take would copy a padded X whole first
             picked = buf[: hi - lo]
             for k, r in enumerate(mine[lo:hi]):
                 picked[k] = X[r]
-            np.matmul(X[None, :, None, :], picked[:, None, :, None], out=out[lo:hi])
+            # order="C" keeps the rows of X outside; numpy would follow
+            # out's strides and read X once per picked row instead
+            np.matmul(X[:, None, None, :], picked[None, :, :, None],
+                      out=out[:, lo:hi], order="C")
 
     _split_rows(fill, len(rows), len(X), X.shape[1])
     norms = np.sqrt(row_dots(X, X))

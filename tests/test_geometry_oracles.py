@@ -258,20 +258,24 @@ def pools(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("n", [33, 64, 97])
 def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, cpus, monkeypatch, pools):
+    """At 37 columns and at 2676, the widest critical-layer subset of the
+    default model; the cosine rows asked for are unsorted, one twice."""
     monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
-    X = random_rows(n * 10 + cpus, 37, n=n)
-    rows = sorted(np.random.default_rng(n).choice(n, size=n // 2, replace=False))
-    with np.errstate(all="raise"):
-        euclidean = pairwise_distance_matrix(X, "euclidean")
-        cosine = pairwise_distance_matrix(X, "cosine")
-        cosine_rows = cosine_distance_rows(X, rows)
-        want_euclidean = distance_matrix_oracle(list(X), "euclidean")
-        want_cosine = distance_matrix_oracle(list(X), "cosine")
-    assert np.array_equal(euclidean, want_euclidean)
-    assert np.array_equal(cosine, want_cosine)
-    assert np.array_equal(cosine_rows, want_cosine[rows])
+    rows = list(np.random.default_rng(n).choice(n, size=n // 2, replace=False))
+    rows.append(rows[0])
+    for width in (37, 2676):
+        X = random_rows(n * 10 + cpus, width, n=n)
+        with np.errstate(all="raise"):
+            euclidean = pairwise_distance_matrix(X, "euclidean")
+            cosine = pairwise_distance_matrix(X, "cosine")
+            cosine_rows = cosine_distance_rows(X, rows)
+            want_euclidean = distance_matrix_oracle(list(X), "euclidean")
+            want_cosine = distance_matrix_oracle(list(X), "cosine")
+        assert np.array_equal(euclidean, want_euclidean)
+        assert np.array_equal(cosine, want_cosine)
+        assert np.array_equal(cosine_rows, want_cosine[rows])
     workers = min(cpus, -(-n // EUCLIDEAN_BLOCK_ROWS))
-    assert pools == ([] if workers == 1 else [workers] * 3)
+    assert pools == ([] if workers == 1 else [workers] * 6)
 
 
 def test_split_equals_serial_under_thread_contention(monkeypatch, pools):

@@ -212,6 +212,23 @@ class TestSweepAblate:
         written = _written(capsys.readouterr().out)
         assert [(label, c["mcr"]) for label, c in written] == [("mcr=0.1", 0.1), ("mcr=0.2", 0.2)]
 
+    @pytest.mark.parametrize("key, values, want, tags", [
+        ("hidden_dims", "24,12; 32,16", [[24, 12], [32, 16]], ["24-12", "32-16"]),
+        ("filter.rescue_layers", "fc1,fc2;fc3", [["fc1", "fc2"], ["fc3"]], ["fc1-fc2", "fc3"]),
+    ])
+    def test_a_tuple_leaf_sweeps_tuples_split_on_semicolons(
+            self, out_dir, capsys, key, values, want, tags):
+        assert cli_main(["sweep", "--parameter", key, "--values", values,
+                         "--format", "json", *SMALL]) == 0
+        got = []
+        for label, c in _written(capsys.readouterr().out):
+            for part in key.split("."):
+                c = c[part]
+            got.append((label, c))
+        assert got == [(f"{key}={','.join(map(str, v))}", v) for v in want]
+        assert sorted(p.name.rsplit("_", 1)[0] for p in out_dir.iterdir()) == [
+            f"sweep_{key}_{tag}" for tag in tags]
+
     def test_ablate_requires_fedsurrogate(self, out_dir, capsys):
         assert cli_main(["ablate", "--defense", "fedavg", *SMALL]) == 2
         assert "ablation requires the fedsurrogate defense" in capsys.readouterr().err
@@ -512,6 +529,23 @@ class TestIdxIntegration:
         monkeypatch.setattr(harness, "local_train", local_train)
         run_experiment(quick_config(rounds=1, n_clients=2, dataset=spec, attack_kind="none"))
         assert spec.num_classes == 4 and lengths[0] == 10 * 50
+
+    @pytest.mark.parametrize("attack_kind", ["none", "cba"])
+    def test_an_empty_test_pair_exits_2_naming_it(self, tmp_path, capsys, attack_kind):
+        from test_data import write_idx_pair
+
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(400, 8, 8)).astype(np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, np.arange(400) % 4)
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        timg, tlbl = write_idx_pair(test_dir, images[:0], [])
+        rc = cli_main(["run", "--n-clients", "4", "--rounds", "1", "--attack-kind", attack_kind,
+                       "--output-dir", str(tmp_path / "out"),
+                       "--dataset-images-path", img, "--dataset-labels-path", lbl,
+                       "--dataset-test-images-path", timg, "--dataset-test-labels-path", tlbl])
+        assert rc == 2 and capsys.readouterr().err == (
+            "error: config key 'dataset.test_images_path': the file holds no images\n")
 
     @pytest.mark.parametrize("test_side, test_classes, key", [
         (4, 4, "dataset.test_images_path"),    # 16-pixel test images, 64-pixel training ones

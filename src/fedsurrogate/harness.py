@@ -56,7 +56,7 @@ from .defense import (
 )
 from .metrics import DetectionTally, asr, mcc, rates, tally_round
 from . import params
-from .model import MlpArchitecture, TrainConfig, init_model, local_train
+from .model import MlpArchitecture, TrainConfig, init_model, local_train, local_train_stack
 from .model import evaluate as main_task_accuracy  # bound apart, so a wrapper can trace MTA
 from .params import ClientUpdate, ParameterVector, Role, check_key, compute_update
 from .workers import RoundTrainers
@@ -75,7 +75,8 @@ def _attack_trainers(cid: int = 0, prev_delta: np.ndarray | None = None) -> dict
     }
 
 
-# while any trainer differs from these (is hooked), a round trains in one process; see workers
+# while any trainer differs from these (is hooked), a round trains in one
+# process and its benign clients one by one; see workers
 _OWN_TRAINERS = _attack_trainers()
 ATTACKS = ("none", *_OWN_TRAINERS)
 DEFENSES = ("fedsurrogate", "fedavg")
@@ -346,6 +347,11 @@ def _make_trigger(cfg: ExperimentConfig, dim: int) -> TriggerSpec:
     return corner_patch_trigger(dim, min(max(1, cfg.n_malicious), PATCH_SIDE ** 2))
 
 
+def _client_config(cfg: ExperimentConfig, rnd: int, cid: int) -> TrainConfig:
+    return TrainConfig(cfg.benign_epochs, cfg.lr, cfg.batch,
+                       seed=_derive_seed(cfg.seed, _CLIENT_TAG, rnd, cid))
+
+
 def _train_one(
     cfg: ExperimentConfig,
     arch: MlpArchitecture,
@@ -357,12 +363,45 @@ def _train_one(
     malicious: bool,
     prev_delta: np.ndarray | None,
 ) -> ParameterVector:
-    tcfg = TrainConfig(cfg.benign_epochs, cfg.lr, cfg.batch,
-                       seed=_derive_seed(cfg.seed, _CLIENT_TAG, rnd, cid))
+    tcfg = _client_config(cfg, rnd, cid)
     if not malicious:
         return local_train(arch, global_model, shard, tcfg)
     trainer, *extra = _attack_trainers(cid, prev_delta)[cfg.attack_kind]
     return trainer(arch, global_model, shard, trigger, tcfg, cfg.attack, *extra)
+
+
+def _train_part(
+    cfg: ExperimentConfig,
+    arch: MlpArchitecture,
+    shards: list[Dataset],
+    trigger: TriggerSpec,
+    stacked: bool,
+    clients: list[int],
+    rnd: int,
+    global_model: ParameterVector,
+    prev_delta: np.ndarray | None,
+) -> tuple[list[int], np.ndarray, tuple[int, Exception] | None]:
+    """One part's training, as ``workers.Train`` describes it. The
+    attackers train one by one in id order, then the benign clients as
+    one ``local_train_stack``, or one by one too unless ``stacked``. An
+    exception a client raises stops the part; one the stack raises is
+    charged to its lowest id."""
+    ids = [c for c in clients if c < cfg.n_malicious or not stacked]
+    stack = [c for c in clients if c >= cfg.n_malicious and stacked]
+    rows = np.empty((len(clients), global_model.schema.total_length))
+    for i, cid in enumerate(ids):
+        try:
+            rows[i] = _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
+                                 cid < cfg.n_malicious, prev_delta).values
+        except Exception as exc:
+            return ids[:i], rows[:i], (cid, exc)
+    try:
+        order = local_train_stack(arch, global_model, [shards[c] for c in stack],
+                                  [_client_config(cfg, rnd, c) for c in stack],
+                                  rows[len(ids):])
+    except Exception as exc:
+        return ids, rows[:len(ids)], (stack[0], exc)
+    return ids + [stack[i] for i in order], rows, None
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -396,12 +435,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                         seed=_derive_seed(cfg.seed, _WARM_TAG, 1)),
         )
 
-    def train_client(cid: int, rnd: int, global_model: ParameterVector,
-                     prev_delta: np.ndarray | None) -> ParameterVector:
-        return _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
-                          roles[cid] is Role.MALICIOUS, prev_delta)
+    # while an attack trainer is hooked, benign clients train one by one
+    # too, so a hook on harness.local_train sees each of them
+    stacked = _attack_trainers() == _OWN_TRAINERS
 
-    alone = threading.active_count() == 1 and _attack_trainers() == _OWN_TRAINERS
+    def train_part(clients: list[int], rnd: int, global_model: ParameterVector,
+                   prev_delta: np.ndarray | None):
+        return _train_part(cfg, arch, shards, trigger, stacked, clients, rnd, global_model,
+                           prev_delta)
+
+    alone = threading.active_count() == 1 and stacked
     w = min(params._cpu_count(), cfg.n_clients) if alone else 1
     parts = [list(range(k, cfg.n_clients, w)) for k in range(w)]
     triggered = triggered_test_set(test, trigger) if cfg.attack_kind != "none" else None
@@ -415,7 +458,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     tally = DetectionTally()
     prev_delta: np.ndarray | None = None
     records: list[RoundRecord] = []
-    with RoundTrainers(train_client, parts, global_model.schema) as trainers:
+    with RoundTrainers(train_part, parts, global_model.schema) as trainers:
         for rnd in range(cfg.rounds):
             models = trainers.round(rnd, global_model, prev_delta)
             # the round's deltas, one cache-aligned row per client, read in

@@ -164,6 +164,13 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # 2676 columns) while the loop streams the rest of the matrix past them.
 EUCLIDEAN_BLOCK_ROWS = 32
 
+# A second geometry thread pays only on wide rows and enough work. At
+# n = 80 and 320 over widths 68-2676 (one thread per CPU of 2), two
+# threads lost at 528 columns and below, and wherever a call made fewer
+# than about 1e7 products (output rows x matrix rows x width).
+THREAD_MIN_WIDTH = 576
+THREAD_MIN_PRODUCTS = 10_000_000
+
 
 def aligned_rows(n: int, width: int) -> np.ndarray:
     """An uninitialised (n, width) float64 array whose rows each start on
@@ -197,10 +204,12 @@ def _split_rows(
     differences of one Euclidean block, or one batch of gathered cosine
     rows. w is the number of CPUs this process may use, at most one
     per EUCLIDEAN_BLOCK_ROWS rows of the n-row matrix and one per output
-    row. With w = 1 (always when n <= EUCLIDEAN_BLOCK_ROWS) ``fill``
-    runs on the calling thread; otherwise each part runs on a thread of
-    its own. The parts overlap where numpy releases the GIL: in
-    ``np.subtract`` and in a matmul of more than 500 stacked products.
+    row, and 1 for rows narrower than THREAD_MIN_WIDTH or fewer than
+    THREAD_MIN_PRODUCTS products (count x n x width). With w = 1
+    (always when n <= EUCLIDEAN_BLOCK_ROWS) ``fill`` runs on the calling
+    thread; otherwise each part runs on a thread of its own. The parts
+    overlap where numpy releases the GIL: in ``np.subtract`` and in a
+    matmul of more than 500 stacked products.
 
     Each ``fill`` writes only its own output rows, with the same numpy
     calls on the same operands whatever part it runs in, so the result
@@ -211,6 +220,8 @@ def _split_rows(
     which carries ``np.errstate``, and a part's exception is raised
     here."""
     w = max(1, min(_cpu_count(), -(-n // EUCLIDEAN_BLOCK_ROWS), count))
+    if width < THREAD_MIN_WIDTH or count * n * width < THREAD_MIN_PRODUCTS:
+        w = 1
     block = min(EUCLIDEAN_BLOCK_ROWS, count)
     rows = aligned_rows(w * block, width)
     bufs = [rows[k * block:(k + 1) * block] for k in range(w)]

@@ -8,12 +8,15 @@ other part in a worker process forked once per experiment, right after
 the model warm-up, so an experiment stopped during set-up forks
 nothing. Every round it sends each worker one pickled command over a
 pipe: the round number, the global model and Neurotoxin's previous
-global delta. The worker trains all its clients, then sends back one
-pickled reply, its models or its failure (sending each model as it is
-trained would stall the worker, since a 64 KB pipe holds three models).
-Both travel as pickle protocol 5, which loads a read-only float64 array
-as a read-only array over the bytes it was read into, so
-``ParameterVector`` wraps each model without a copy. The updates, the
+global delta. The worker trains its part (``harness._train_part``: the
+attackers one by one, the benign clients as one stack), then sends back
+one pickled reply: its models as the rows of one array, the client of
+each row, and its failure if any (sending each model as it is trained
+would stall the worker, since a 64 KB pipe holds three models). Both
+travel as pickle protocol 5, which loads a read-only float64 array as a
+read-only array over the bytes it was read into, so ``ParameterVector``
+wraps each row without a copy; part 0's array is made read-only for
+the same end. The updates, the
 round matrix, the defense and the evaluation stay in the calling
 process.
 
@@ -24,16 +27,21 @@ not depend on w. Pipes are the only channel: a memory block reused
 across rounds would be rewritten under the models a caller still holds
 from an earlier round.
 
-Failures. Each part trains in id order and stops at its first failing
-client, and the exception of the lowest failing id is raised, as with
-one part; a worker's is pickled back with its traceback as a note. One
-that does not pickle comes back as a ``RuntimeError`` with its type and
-message, and one that does not unpickle as a ``RuntimeError`` naming
-its client. An error, a ``KeyboardInterrupt`` or a worker's death ends
-the run with an exception, not a hang: the workers are killed and
-reaped, so no child is left. Workers ignore SIGINT (the calling process owns the interrupt)
-and leave through ``os._exit`` when their command pipe closes, so none
-returns into its caller's stack.
+Failures. A part reports the first of its clients to raise, in id
+order, and stops there; the stacked benign clients cannot fail one by
+one, so an exception of the stack is charged to its lowest id. A row
+that is not finite fails its client when the calling process wraps it,
+with the ``ValueError`` that training the client alone raises. Of all
+the failures of a round, the exception of the lowest failing id is
+raised, as with one part; a worker's is pickled back with its traceback
+as a note. One that does not pickle comes back as a ``RuntimeError``
+with its type and message, and one that does not unpickle as a
+``RuntimeError`` naming its client. An error, a ``KeyboardInterrupt`` or
+a worker's death ends the run with an exception, not a hang: the
+workers are killed and reaped, so no child is left. Workers ignore
+SIGINT (the calling process owns the interrupt) and leave through
+``os._exit`` when their command pipe closes, so none returns into its
+caller's stack.
 
 Processes. With w = 1 nothing is forked, and the same holds while
 another Python thread is alive, since a fork could copy a lock that
@@ -43,12 +51,14 @@ so BLAS stays pinned to the same thread count in each of them.
 
 Hooks. A worker calls the training stages as ``harness``'s module
 attributes held them at the fork, so what a hook wrapped around one
-records in a worker stays there. A round therefore trains in one
-process while any trainer on ``harness``'s attack roster is hooked:
-the round benchmark's tracer hooks them, and its training spans and
-counts cover every client. ``local_train`` may be hooked without that, as the
-benchmark's timed runs do to mark the end of the warm-up; a hook on it
-alone sees the warm-up and part 0's clients only.
+records in a worker stays there. While any trainer on ``harness``'s
+attack roster is hooked, a round therefore trains in one process, and
+its benign clients one by one through ``harness.local_train``: the
+round benchmark's tracer hooks them all, and its training spans and
+counts cover every client. ``local_train`` may be hooked without that,
+as the benchmark's timed runs do to mark the end of the warm-up; a hook
+on it alone then sees the warm-up only, since the benign clients train
+as stacks.
 """
 from __future__ import annotations
 
@@ -64,21 +74,12 @@ import numpy as np
 
 from .params import LayerSchema, ParameterVector
 
-# (client id, round, global model, previous global delta) -> trained model
-Train = Callable[[int, int, ParameterVector, "np.ndarray | None"], ParameterVector]
-
-
-def _train_part(train: Train, clients: Sequence[int], rnd: int,
-                global_model: ParameterVector, prev_delta: np.ndarray | None):
-    """The part's models in client order, up to its first failing
-    client; returns (models, (client, exception) or None)."""
-    models = []
-    for cid in clients:
-        try:
-            models.append(train(cid, rnd, global_model, prev_delta))
-        except Exception as exc:
-            return models, (cid, exc)
-    return models, None
+# (the part's client ids, round, global model, previous global delta) ->
+# (the client of each row, the models as the rows of one array, and None,
+# or (client, exception) at the part's first failing client, whose row and
+# those after it are left out)
+Train = Callable[[Sequence[int], int, ParameterVector, "np.ndarray | None"],
+                 tuple[list[int], np.ndarray, "tuple[int, Exception] | None"]]
 
 
 def _send(f: BinaryIO, message) -> None:
@@ -90,17 +91,15 @@ def _serve(cmd: BinaryIO, res: BinaryIO, clients: Sequence[int], train: Train,
            schema: LayerSchema) -> None:
     """A worker's loop: one reply per command until the command pipe
     closes. A command is (round, global model values, previous global
-    delta or None); a reply is (model values, None) or, at the part's
-    first failing client, ([], (client, its pickled exception)). The
-    exception carries the worker's traceback as a note, and the worker
-    waits for the next command."""
+    delta or None); a reply is what ``train`` returns, with a failure's
+    exception pickled. The exception carries the worker's traceback as a
+    note, and the worker waits for the next command."""
     while True:
         try:
             rnd, values, prev_delta = pickle.load(cmd)
         except EOFError:
             return
-        models, failure = _train_part(train, clients, rnd, ParameterVector(values, schema),
-                                      prev_delta)
+        ids, rows, failure = train(clients, rnd, ParameterVector(values, schema), prev_delta)
         if failure is not None:
             cid, exc = failure
             exc.add_note(f"raised training client {cid} in worker process {os.getpid()}:\n"
@@ -109,14 +108,13 @@ def _serve(cmd: BinaryIO, res: BinaryIO, clients: Sequence[int], train: Train,
                 blob = pickle.dumps(exc)
             except Exception:
                 blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            models, failure = [], (cid, blob)
-        _send(res, ([m.values for m in models], failure))
+            failure = (cid, blob)
+        _send(res, (ids, rows, failure))
 
 
 @dataclass
 class _Worker:
     pid: int
-    clients: list[int]
     cmd: BinaryIO       # the parent's write end of the command pipe
     res: BinaryIO       # the parent's read end of the reply pipe
     reaped: bool = False
@@ -173,7 +171,7 @@ class RoundTrainers:
                 os._exit(code)
         os.close(cmd_r)
         os.close(res_w)
-        return _Worker(pid, clients, open(cmd_w, "wb"), open(res_r, "rb"))
+        return _Worker(pid, open(cmd_w, "wb"), open(res_r, "rb"))
 
     def _close(self, kill: bool) -> None:
         for w in self._workers:
@@ -191,25 +189,29 @@ class RoundTrainers:
 
     def round(self, rnd: int, global_model: ParameterVector,
               prev_delta: np.ndarray | None) -> list[ParameterVector]:
-        """Every client's trained model, indexed by client id. When
-        clients fail, the exception of the lowest failing id is raised,
-        as training them one by one in id order would raise it: each
-        part trains in id order and stops at its first failure."""
+        """Every client's trained model, indexed by client id, each a view
+        of its part's reply. When clients fail, the exception of the
+        lowest failing id is raised, as training them one by one in id
+        order would raise it; a row that is not finite fails its client
+        with ``ParameterVector``'s ``ValueError``."""
         for w in self._workers:
             try:
                 _send(w.cmd, (rnd, global_model.values, prev_delta))
             except BrokenPipeError:
                 raise self._ended(w, rnd) from None
-        replies = [(self._parts[0], *_train_part(
-            self._train, self._parts[0], rnd, global_model, prev_delta))]
-        replies += [(w.clients, *self._reply(w, rnd)) for w in self._workers]
+        replies = [self._train(self._parts[0], rnd, global_model, prev_delta)]
+        replies += [self._reply(w, rnd) for w in self._workers]
+        models: list[ParameterVector] = [None] * sum(map(len, self._parts))
         failures = [failure for _, _, failure in replies if failure]
+        for ids, rows, _ in replies:
+            rows.flags.writeable = False   # so each row is wrapped, not copied
+            for cid, row in zip(ids, rows):
+                try:
+                    models[cid] = ParameterVector(row, self._schema)
+                except ValueError as exc:
+                    failures.append((cid, exc))
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
-        models: list[ParameterVector] = [None] * sum(map(len, self._parts))
-        for clients, trained, _ in replies:
-            for cid, model in zip(clients, trained):
-                models[cid] = model
         return models
 
     @staticmethod
@@ -222,19 +224,18 @@ class RoundTrainers:
             f"(exit code {os.waitstatus_to_exitcode(status)})")
 
     def _reply(self, w: _Worker, rnd: int):
-        """A worker's reply to round ``rnd``: (models, failure or None).
-        A worker that died mid-reply leaves a truncated pickle, which
-        raises ``UnpicklingError`` or ``EOFError``."""
+        """A worker's reply to round ``rnd``, as ``Train`` describes it. A
+        worker that died mid-reply leaves a truncated pickle, which raises
+        ``UnpicklingError`` or ``EOFError``."""
         try:
-            values, failure = pickle.load(w.res)
+            ids, rows, failure = pickle.load(w.res)
         except (EOFError, pickle.UnpicklingError):
             raise self._ended(w, rnd) from None
-        if failure is None:
-            return [ParameterVector(v, self._schema) for v in values], None
-        cid, blob = failure
-        try:
-            exc = pickle.loads(blob)
-        except Exception:
-            exc = RuntimeError(f"training client {cid} failed in worker process {w.pid}, "
-                               "and its exception could not be unpickled")
-        return [], (cid, exc)
+        if failure is not None:
+            cid, blob = failure
+            try:
+                failure = (cid, pickle.loads(blob))
+            except Exception:
+                failure = (cid, RuntimeError(f"training client {cid} failed in worker process "
+                                             f"{w.pid}, and its exception could not be unpickled"))
+        return ids, rows, failure

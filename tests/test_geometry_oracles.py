@@ -242,6 +242,14 @@ def test_round_donors_equal_full_matrix_donors_on_ties(seed):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
+def any_size(monkeypatch):
+    """Lets matrices of any width and size split, so that small ones
+    test the split path."""
+    monkeypatch.setattr(params, "THREAD_MIN_WIDTH", 0)
+    monkeypatch.setattr(params, "THREAD_MIN_PRODUCTS", 0)
+
+
+@pytest.fixture
 def pools(monkeypatch):
     """Records the max_workers of every thread pool the geometry makes."""
     made = []
@@ -257,7 +265,7 @@ def pools(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("n", [33, 64, 97])
-def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, cpus, monkeypatch, pools):
+def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, cpus, monkeypatch, pools, any_size):
     """At 37 columns and at 2676, the widest critical-layer subset of the
     default model; the cosine rows asked for are unsorted, one twice."""
     monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
@@ -278,7 +286,7 @@ def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, cpus, monkeypatch, p
     assert pools == ([] if workers == 1 else [workers] * 6)
 
 
-def test_split_equals_serial_under_thread_contention(monkeypatch, pools):
+def test_split_equals_serial_under_thread_contention(monkeypatch, pools, any_size):
     """More threads than cores, switching as often as the interpreter
     allows: parts that shared a buffer or an output row would differ."""
     X = random_rows(5, 37 * 8, n=200)
@@ -297,7 +305,7 @@ def test_split_equals_serial_under_thread_contention(monkeypatch, pools):
     assert pools == [7, 7] * 3
 
 
-def test_small_matrices_make_no_pool(monkeypatch, pools):
+def test_small_matrices_make_no_pool(monkeypatch, pools, any_size):
     monkeypatch.setattr(params, "_cpu_count", lambda: 4)
     X = random_rows(0, 37, n=EUCLIDEAN_BLOCK_ROWS)
     pairwise_distance_matrix(X, "euclidean")
@@ -306,6 +314,26 @@ def test_small_matrices_make_no_pool(monkeypatch, pools):
     assert pools == []
     pairwise_distance_matrix(np.vstack([X, X[:1]]), "euclidean")
     assert pools == [2]
+
+
+@pytest.mark.parametrize("width, split", [(68, False), (528, False), (2676, True)])
+def test_narrow_rows_make_no_pool(width, split, monkeypatch, pools):
+    """At n = 320, two threads lost to one at 68 and 528 columns; the
+    cosine rows are Stage 3's ~60 donor rows."""
+    monkeypatch.setattr(params, "_cpu_count", lambda: 2)
+    X = random_rows(width, width, n=320)
+    pairwise_distance_matrix(X, "euclidean")
+    cosine_distance_rows(X, range(0, 320, 5))
+    assert pools == ([2, 2] if split else [])
+
+
+def test_few_products_make_no_pool(monkeypatch, pools):
+    """Wide rows, but 8 cosine rows of 320 and an 80-row Euclidean
+    matrix at 596 columns: each under THREAD_MIN_PRODUCTS."""
+    monkeypatch.setattr(params, "_cpu_count", lambda: 2)
+    cosine_distance_rows(random_rows(1, 2676, n=320), range(8))
+    pairwise_distance_matrix(random_rows(2, 596, n=80), "euclidean")
+    assert pools == []
 
 
 def test_small_matrices_do_not_import_the_thread_pool():
@@ -341,7 +369,7 @@ def _layouts(X):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("width", [37, 2676])
 @pytest.mark.parametrize("n", [2, 33, 70])
-def test_geometry_bits_do_not_depend_on_row_alignment(n, width, cpus, monkeypatch):
+def test_geometry_bits_do_not_depend_on_row_alignment(n, width, cpus, monkeypatch, any_size):
     monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
     X = random_rows(n + width, width, n=n)
     rows = list(range(0, n, 3))
@@ -355,7 +383,7 @@ def test_geometry_bits_do_not_depend_on_row_alignment(n, width, cpus, monkeypatc
 
 
 @pytest.mark.parametrize("which", ["euclidean", "cosine_rows"])
-def test_overflow_in_a_worker_raises(which, monkeypatch, pools):
+def test_overflow_in_a_worker_raises(which, monkeypatch, pools, any_size):
     monkeypatch.setattr(params, "_cpu_count", lambda: 2)
     X = np.random.default_rng(1).uniform(0.5, 1.0, (40, 5)) * 1e200
     X[1::2] *= -1.0

@@ -181,19 +181,18 @@ def test_a_hooked_attack_trainer_keeps_every_client_here(monkeypatch, kind):
 
 def test_a_hooked_local_train_still_forks(monkeypatch, forks):
     """The benchmark's timed runs hook local_train to mark the end of the
-    warm-up; that hook sees the warm-up and part 0 in this process."""
+    warm-up; that hook sees the warm-up only, since with no attack
+    trainer hooked the benign clients train as one stack per part."""
     parent = os.getpid()
     seen = []
     real = harness.local_train
     monkeypatch.setattr(harness, "local_train",
                         lambda *a: seen.append(os.getpid()) or real(*a))
-    cfg = small()
-    run_with_parts(monkeypatch, cfg, 2)
+    run_with_parts(monkeypatch, small(), 2)
     if os.getpid() != parent:
         os._exit(99)
     assert len(forks) == 1
-    benign_part_0 = [c for c in range(0, cfg.n_clients, 2) if c >= cfg.n_malicious]
-    assert seen == [parent] * (1 + cfg.rounds * len(benign_part_0))
+    assert seen == [parent]
     assert_no_child_left()
 
 
@@ -221,16 +220,34 @@ def test_workers_exit_on_end_of_file_and_never_return(monkeypatch, forks, reaped
     assert_no_child_left()
 
 
+def inject(monkeypatch, fault):
+    """Runs ``fault(cid, rnd)`` before each client of a part trains, in id
+    order. A part whose client's fault raises an ``Exception`` reports
+    that client failed, with the clients before it trained, as a part
+    that stops at its first failing client does; any other exception
+    leaves the part function."""
+    real = harness._train_part
+
+    def train_part(cfg, arch, shards, trigger, stacked, clients, rnd, *rest):
+        for i, cid in enumerate(clients):
+            try:
+                fault(cid, rnd)
+            except Exception as exc:
+                ids, rows, _ = real(cfg, arch, shards, trigger, stacked, clients[:i], rnd, *rest)
+                return ids, rows, (cid, exc)
+        return real(cfg, arch, shards, trigger, stacked, clients, rnd, *rest)
+
+    monkeypatch.setattr(harness, "_train_part", train_part)
+
+
 def test_a_worker_s_base_exception_ends_it_not_its_caller(monkeypatch, forks, reaped):
     parent = os.getpid()
-    real = harness._train_one
 
-    def train_one(*args):
+    def fault(cid, rnd):
         if os.getpid() != parent:
             raise SystemExit(7)
-        return real(*args)
 
-    monkeypatch.setattr(harness, "_train_one", train_one)
+    inject(monkeypatch, fault)
     with pytest.raises(RuntimeError, match=r"ended in round 0 without replying \(exit code 1\)"):
         run_with_parts(monkeypatch, small(rounds=2), 2)
     if os.getpid() != parent:
@@ -264,46 +281,58 @@ class TestFailures:
 
     @pytest.mark.parametrize("failing", [{3, 8}, {1, 8}, {8}, {0, 2, 4}])
     def test_the_lowest_failing_client_s_exception_is_raised(self, monkeypatch, failing):
-        real = harness._train_one
-
-        def train_one(cfg, arch, global_model, shard, trigger, cid, rnd, *rest):
+        def fault(cid, rnd):
             if rnd == 1 and cid in failing:
                 raise KeyError(f"client {cid}")
-            return real(cfg, arch, global_model, shard, trigger, cid, rnd, *rest)
 
-        monkeypatch.setattr(harness, "_train_one", train_one)
+        inject(monkeypatch, fault)
         expected = (KeyError, repr(f"client {min(failing)}"))
         for w in (1, 2, 3):
             assert self.raised(monkeypatch, small(), w) == expected
 
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_a_non_finite_stack_row_raises_as_one_by_one(self, monkeypatch, w):
+        """With no attackers every client is benign; at lr=1e300 each
+        model overflows, in the stack as in local_train, which trains
+        them one by one while an attack trainer is hooked."""
+        cfg = small(attack_kind="none", lr=1e300, warmup_epochs=0)
+        calls = []
+        real = harness.local_train
+        monkeypatch.setattr(harness, "local_train",
+                            lambda *a: calls.append(a[2]) or real(*a))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stacked = self.raised(monkeypatch, cfg, w)
+            assert not calls
+            monkeypatch.setattr(harness, "cba_train", lambda *a: pytest.fail("no attackers"))
+            one_by_one = self.raised(monkeypatch, cfg, w)
+        assert len(calls) == 1
+        assert stacked == one_by_one == (ValueError, "parameter vector contains non-finite entries")
+
     def test_worker_exception_carries_its_traceback_as_a_note(self, monkeypatch):
         parent = os.getpid()
-        real = harness._train_one
 
-        def train_one(*args):
+        def fault(cid, rnd):
             if os.getpid() != parent:
                 raise ArithmeticError("in a worker")
-            return real(*args)
 
-        monkeypatch.setattr(harness, "_train_one", train_one)
+        inject(monkeypatch, fault)
         with pytest.raises(ArithmeticError) as info:
             run_with_parts(monkeypatch, small(), 2)
         assert str(info.value) == "in a worker"
         (note,) = info.value.__notes__
-        assert note.startswith("raised training client ") and "train_one" in note
+        assert note.startswith("raised training client 1 ") and "in fault" in note
         assert_no_child_left()
 
     @staticmethod
     def raise_in_workers(monkeypatch, make_exception):
         parent = os.getpid()
-        real = harness._train_one
 
-        def train_one(*args):
+        def fault(cid, rnd):
             if os.getpid() != parent:
                 raise make_exception()
-            return real(*args)
 
-        monkeypatch.setattr(harness, "_train_one", train_one)
+        inject(monkeypatch, fault)
 
     def test_an_exception_that_cannot_be_pickled(self, monkeypatch):
         class Local(Exception):   # pickled by a name no import finds
@@ -337,14 +366,12 @@ class TestFailures:
 
     def test_killed_worker(self, monkeypatch, forks):
         parent = os.getpid()
-        real = harness._train_one
 
-        def train_one(cfg, arch, global_model, shard, trigger, cid, rnd, *rest):
+        def fault(cid, rnd):
             if rnd == 1 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(cfg, arch, global_model, shard, trigger, cid, rnd, *rest)
 
-        monkeypatch.setattr(harness, "_train_one", train_one)
+        inject(monkeypatch, fault)
         with pytest.raises(RuntimeError, match=r"ended in round 1 without replying "
                                                r"\(exit code -9\)"):
             run_with_parts(monkeypatch, small(), 2)
@@ -354,20 +381,18 @@ class TestFailures:
     @pytest.mark.parametrize("where", ["server step", "own part"])
     def test_keyboard_interrupt(self, monkeypatch, forks, reaped, where):
         parent = os.getpid()
-        real_train = harness._train_one
 
         def step(updates, *args, **kwargs):
             raise KeyboardInterrupt
 
-        def train_one(cfg, arch, global_model, shard, trigger, cid, rnd, *rest):
+        def fault(cid, rnd):
             if rnd == 1 and os.getpid() == parent:
                 raise KeyboardInterrupt
-            return real_train(cfg, arch, global_model, shard, trigger, cid, rnd, *rest)
 
         if where == "server step":
             monkeypatch.setattr(harness, "fedsurrogate_round", step)
         else:
-            monkeypatch.setattr(harness, "_train_one", train_one)
+            inject(monkeypatch, fault)
         with pytest.raises(KeyboardInterrupt):
             run_with_parts(monkeypatch, small(), 2)
         assert [reaped[pid] for pid in forks] == [-signal.SIGKILL]
@@ -379,14 +404,19 @@ SCHEMA = LayerSchema.from_lengths([("fc1", 7), ("fc2", 3)])
 
 def test_round_trainers_move_every_bit(forks):
     """Models travel as raw float64: subnormals, signed zeros and extreme
-    magnitudes arrive bit for bit, and each is a fresh read-only array."""
+    magnitudes arrive bit for bit, each a read-only view of its part's
+    reply, placed by the client id the reply gives its row."""
     rng = np.random.default_rng(3)
     special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308, np.pi])
 
-    def train(cid, rnd, global_model, prev_delta):
+    def model(cid, rnd, global_model, prev_delta):
         step = special[(cid + rnd) % len(special)]
         base = global_model.values if prev_delta is None else global_model.values + prev_delta
-        return ParameterVector(base * (cid + 1) + step, SCHEMA)
+        return base * (cid + 1) + step
+
+    def train(clients, rnd, global_model, prev_delta):
+        ids = clients[::-1]
+        return ids, np.stack([model(c, rnd, global_model, prev_delta) for c in ids]), None
 
     parts = [[1, 4], [0, 3], [2]]
     with RoundTrainers(train, parts, SCHEMA) as trainers:
@@ -398,14 +428,14 @@ def test_round_trainers_move_every_bit(forks):
             models = trainers.round(rnd, g, prev)
             assert len(models) == 5
             for cid, m in enumerate(models):
-                want = train(cid, rnd, g, prev).values
+                want = model(cid, rnd, g, prev)
                 assert np.array_equal(m.values.view(np.uint64), want.view(np.uint64))
                 assert not m.values.flags.writeable
             held.append((models, [m.values.copy() for m in models]))
         for models, values in held:   # later rounds wrote nothing under them
             assert all(np.array_equal(m.values, v) for m, v in zip(models, values))
     assert_no_child_left()
-    assert len({id(m.values) for models, _ in held for m in models}) == 15
+    assert len({id(m.values.base) for models, _ in held for m in models}) == 3 * 3
 
 
 def test_worker_dead_between_rounds(monkeypatch, forks):

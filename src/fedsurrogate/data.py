@@ -7,6 +7,7 @@ meaningful. All generators are deterministic under a fixed seed.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,6 +23,10 @@ PATCH_SIDE, PATCH_VALUE, TARGET_LABEL = 3, 1.0, 1
 
 # Pixel value of the uninformative half of ``generate_synthetic``'s means.
 BACKGROUND = 0.35
+
+# Dirichlet draws ``dirichlet_partition`` makes before it deals each
+# client one sample first.
+PARTITION_ATTEMPTS = 100
 
 
 class IdxFormatError(ValueError):
@@ -159,7 +164,9 @@ def _read_idx(path: str, expected_magic: int) -> tuple[np.ndarray, tuple[int, ..
     if len(raw) < header:
         raise IdxFormatError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndims}i", raw[4:header])
-    count = int(np.prod(dims))
+    if min(dims, default=0) < 0:
+        raise IdxFormatError(f"{path}: negative dimension in header {dims}")
+    count = math.prod(dims)
     body = np.frombuffer(raw, dtype=np.uint8, offset=header)
     if len(body) < count:
         raise IdxFormatError(f"{path}: truncated, {len(body)} bytes, expected {count}")
@@ -174,7 +181,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     if lbl_dims[0] != n:
         raise IdxFormatError(f"{labels_path}: {lbl_dims[0]} labels for the {n} images "
                              f"of {images_path}")
-    dim = int(np.prod(img_dims[1:]))
+    dim = math.prod(img_dims[1:])
     feats = pixels.reshape(n, dim).astype(np.float64) / 255.0
     labels = labels.astype(np.int64)
     return Dataset(feats, labels, int(labels.max()) + 1 if n else 10)
@@ -198,15 +205,13 @@ def _class_split(
     return pieces
 
 
-def dirichlet_partition(
-    ds: Dataset, n_clients: int, alpha: float, seed: int, max_attempts: int = 100
-) -> list[np.ndarray]:
+def dirichlet_partition(ds: Dataset, n_clients: int, alpha: float, seed: int) -> list[np.ndarray]:
     """Each client's sample indices: per class, draw Dirichlet(alpha)
     proportions over clients and split that class's samples accordingly,
     so a client's array holds its share of class 0, then of class 1, ...
 
     A draw that leaves any client empty is discarded and the whole
-    partition redrawn with an incremented sub-seed. When ``max_attempts``
+    partition redrawn with an incremented sub-seed. When ``PARTITION_ATTEMPTS``
     draws all leave a client empty (too few samples for the client count
     at this alpha), each client is dealt one sample of a seeded
     permutation first, ahead of its share of one Dirichlet draw over the
@@ -224,12 +229,12 @@ def dirichlet_partition(
         return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0xD1, attempt]))
 
     everyone = np.arange(len(ds))
-    for attempt in range(max_attempts):
+    for attempt in range(PARTITION_ATTEMPTS):
         pieces = _class_split(ds, everyone, n_clients, alpha, attempt_rng(attempt))
         shards = [np.concatenate(parts) for parts in zip(*pieces)]
         if all(len(s) for s in shards):
             return shards
-    rng = attempt_rng(max_attempts)
+    rng = attempt_rng(PARTITION_ATTEMPTS)
     order = rng.permutation(len(ds))
     dealt = np.split(order[:n_clients], n_clients)
     return [np.concatenate(parts)

@@ -352,24 +352,6 @@ def _client_config(cfg: ExperimentConfig, rnd: int, cid: int) -> TrainConfig:
                        seed=_derive_seed(cfg.seed, _CLIENT_TAG, rnd, cid))
 
 
-def _train_one(
-    cfg: ExperimentConfig,
-    arch: MlpArchitecture,
-    global_model: ParameterVector,
-    shard: Dataset,
-    trigger: TriggerSpec,
-    cid: int,
-    rnd: int,
-    malicious: bool,
-    prev_delta: np.ndarray | None,
-) -> ParameterVector:
-    tcfg = _client_config(cfg, rnd, cid)
-    if not malicious:
-        return local_train(arch, global_model, shard, tcfg)
-    trainer, *extra = _attack_trainers(cid, prev_delta)[cfg.attack_kind]
-    return trainer(arch, global_model, shard, trigger, tcfg, cfg.attack, *extra)
-
-
 def _train_part(
     cfg: ExperimentConfig,
     arch: MlpArchitecture,
@@ -391,8 +373,14 @@ def _train_part(
     rows = np.empty((len(clients), global_model.schema.total_length))
     for i, cid in enumerate(ids):
         try:
-            rows[i] = _train_one(cfg, arch, global_model, shards[cid], trigger, cid, rnd,
-                                 cid < cfg.n_malicious, prev_delta).values
+            tcfg = _client_config(cfg, rnd, cid)
+            if cid < cfg.n_malicious:
+                trainer, *extra = _attack_trainers(cid, prev_delta)[cfg.attack_kind]
+                model = trainer(arch, global_model, shards[cid], trigger, tcfg, cfg.attack,
+                                *extra)
+            else:
+                model = local_train(arch, global_model, shards[cid], tcfg)
+            rows[i] = model.values
         except Exception as exc:
             return ids[:i], rows[:i], (cid, exc)
     try:
@@ -438,12 +426,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     # while an attack trainer is hooked, benign clients train one by one
     # too, so a hook on harness.local_train sees each of them
     stacked = _attack_trainers() == _OWN_TRAINERS
-
-    def train_part(clients: list[int], rnd: int, global_model: ParameterVector,
-                   prev_delta: np.ndarray | None):
-        return _train_part(cfg, arch, shards, trigger, stacked, clients, rnd, global_model,
-                           prev_delta)
-
     alone = threading.active_count() == 1 and stacked
     w = min(params._cpu_count(), cfg.n_clients) if alone else 1
     parts = [list(range(k, cfg.n_clients, w)) for k in range(w)]
@@ -458,6 +440,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     tally = DetectionTally()
     prev_delta: np.ndarray | None = None
     records: list[RoundRecord] = []
+    train_part = functools.partial(_train_part, cfg, arch, shards, trigger, stacked)
     with RoundTrainers(train_part, parts, global_model.schema) as trainers:
         for rnd in range(cfg.rounds):
             models = trainers.round(rnd, global_model, prev_delta)

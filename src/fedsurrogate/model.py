@@ -133,18 +133,18 @@ def local_train_stack(
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[int]:
     """Plain SGD on mean softmax cross-entropy for a stack of clients that
-    all start from ``start``: client c runs ``cfgs[c].epochs`` passes of
-    mini-batches of ``shards[c]``, shuffled by its own seeded generator.
+    all start from ``start`` and share one epoch count, learning rate and
+    batch size: client c runs that many passes of mini-batches of
+    ``shards[c]``, shuffled by the generator of its own ``cfgs[c].seed``.
     Row i of the C-contiguous (clients, P) float64 ``out`` receives the
     model of client ``order[i]``, and ``order`` is returned. Each row has
     the bits the client gets trained alone.
 
-    The stack is ordered by epochs, then shard size, largest first, so
-    at each (epoch, batch index) the clients that still have a batch
-    form a prefix in which equal batch sizes are contiguous runs (with
-    equal epochs and batch sizes, as the harness trains). A run of g
-    clients with batch size m takes one step together: its (W, b) are
-    views of its rows of ``out``, its batches are gathered into
+    The stack is ordered by shard size, largest first, so at each batch
+    index the clients that still have a batch form a prefix in which
+    equal batch sizes are contiguous runs, the same in every epoch. A run
+    of g clients with batch size m takes one step together: its (W, b)
+    are views of its rows of ``out``, its batches are gathered into
     contiguous (g, m, features) buffers, and every matmul, sum and max
     runs over the stacked axis, which gives each client the bits of its
     own 2-D call; the softmax's exp, like a lone client's, runs over a
@@ -170,20 +170,17 @@ def local_train_stack(
         raise ValueError(f"out must be a C-contiguous ({len(shards)}, {start.values.size}) array")
     if not shards:
         return []
+    epochs, lr, bs = cfgs[0].epochs, cfgs[0].learning_rate, cfgs[0].batch_size
+    if any((c.epochs, c.learning_rate, c.batch_size) != (epochs, lr, bs) for c in cfgs):
+        raise ValueError("the clients of a stack must share epochs, learning rate and batch size")
     checked = [_checked(arch, d) for d in shards]
-    order = sorted(range(len(shards)), key=lambda c: (-cfgs[c].epochs, -len(checked[c][1])))
+    order = sorted(range(len(shards)), key=lambda c: -len(checked[c][1]))
     data = [checked[c] for c in order]
-    cfgs = [cfgs[c] for c in order]
-    # per epoch: the clients left in it, and each batch index's runs
-    schedule, by_left = [], {}
-    for e in range(cfgs[0].epochs):
-        left = sum(c.epochs > e for c in cfgs)
-        if left not in by_left:
-            sizes = [(len(y), c.batch_size) for (_, y), c in zip(data[:left], cfgs)]
-            by_left[left] = [_runs([min(max(n - t * bs, 0), bs) for n, bs in sizes])
-                             for t in range(max(-(-n // bs) for n, bs in sizes))]
-        schedule.append((left, by_left[left]))
-    runs = {run for steps in by_left.values() for step in steps for run in step}
+    sizes = [len(y) for _, y in data]
+    # each batch index's runs, the same in every epoch
+    steps = [_runs([min(max(n - t * bs, 0), bs) for n in sizes])
+             for t in range(-(-sizes[0] // bs))]
+    runs = {run for step in steps for run in step}
 
     dims = arch.layer_dims
     capacity = max((b - a) * m for a, b, m in runs)   # the most rows a step takes
@@ -193,7 +190,6 @@ def local_train_stack(
     backs = [np.empty(capacity * d) for d in dims[1:-1]]  # d(loss)/d(hidden output)
     live = np.empty(capacity * max(dims[1:-1]), dtype=bool)
     labels = np.empty(capacity, dtype=np.int64)
-    lrs = np.array([c.learning_rate for c in cfgs])[:, None]
     # per layer: weights [lo, mid), bias [mid, hi)
     bounds = [(lo, lo + fi * fo, lo + length) for (_, lo, length), fi, fo
               in zip(arch.schema().layers, dims, dims[1:])]
@@ -217,23 +213,20 @@ def local_train_stack(
         y = labels[:rows]
         return (list(zip(range(a, b), x, y.reshape(g, m))), x, layers, outputs[-1],
                 (outputs[-1].reshape(rows, dims[-1]), np.arange(rows), y),
-                (grad[:g], out[a:b], lrs[a:b]))
+                (grad[:g], out[a:b]))
 
     plans = {run: plan(*run) for run in runs}
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=[int(c.seed), 0x7A]))
-            for c in cfgs]
-    perms = [None] * len(cfgs)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=[int(cfgs[c].seed), 0x7A]))
+            for c in order]
     first_row = out[0]
-    for left, steps in schedule:
-        for i in range(left):
-            perms[i] = rngs[i].permutation(len(data[i][1]))
+    for _ in range(epochs):
+        perms = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
         for t, step in enumerate(steps):
             for run in step:
-                batches, x, layers, delta, (flat, at, y), (update, params, lr) = plans[run]
+                batches, x, layers, delta, (flat, at, y), (update, params) = plans[run]
                 m = run[2]
                 for i, xi, yi in batches:
-                    first = t * cfgs[i].batch_size
-                    idx = perms[i][first: first + m]
+                    idx = perms[i][t * bs: t * bs + m]
                     data[i][0].take(idx, axis=0, out=xi, mode="clip")
                     data[i][1].take(idx, out=yi, mode="clip")
                 for W, bias, h, *_ in layers:

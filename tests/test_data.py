@@ -93,6 +93,30 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match=r"short\.idx: truncated, 5 bytes, expected 8"):
             load_idx(str(tmp_path / "short.idx"), lbl)
 
+    def test_negative_dimension(self, tmp_path):
+        """A negative dimension in either header is rejected, naming the
+        file: (-1, 2, 2) over 12 pixel bytes would read as 2 images, and
+        (-1) over 3 label bytes as 2 labels."""
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        img.write_bytes(struct.pack(">iiii", 0x00000803, -1, 2, 2) + bytes(12))
+        lbl.write_bytes(struct.pack(">ii", 0x00000801, -1) + bytes(3))
+        with pytest.raises(IdxFormatError, match=r"img\.idx: negative dimension"):
+            load_idx(str(img), str(lbl))
+        img.write_bytes(struct.pack(">iiii", 0x00000803, 3, 2, 2) + bytes(12))
+        with pytest.raises(IdxFormatError, match=r"lbl\.idx: negative dimension"):
+            load_idx(str(img), str(lbl))
+
+    def test_overflowing_dimensions(self, tmp_path):
+        """The payload is counted exactly: (2**31 - 1) ** 2 * 4 as an int64
+        product wraps negative and would pass the truncation check."""
+        _, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+        big = 2**31 - 1
+        big_path = tmp_path / "big.idx"
+        big_path.write_bytes(struct.pack(">iiii", 0x00000803, big, big, 4) + bytes(16))
+        with pytest.raises(IdxFormatError,
+                           match=rf"big\.idx: truncated, 16 bytes, expected {big * big * 4}"):
+            load_idx(str(big_path), lbl)
+
 
 class TestDirichlet:
     def test_partition_covers_everything(self):
@@ -136,10 +160,10 @@ class TestDirichlet:
         # 40 samples over 40 clients: every draw leaves some client empty,
         # so the fallback deals each client one sample and nothing is left
         ds = generate_synthetic(4, 16, 10, 0.1, seed=2)
-        shards = dirichlet_partition(ds, 40, alpha=0.5, seed=0, max_attempts=5)
+        shards = dirichlet_partition(ds, 40, alpha=0.5, seed=0)
         assert [len(s) for s in shards] == [1] * 40
         assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(40))
-        again = dirichlet_partition(ds, 40, alpha=0.5, seed=0, max_attempts=5)
+        again = dirichlet_partition(ds, 40, alpha=0.5, seed=0)
         assert all(map(np.array_equal, shards, again))
 
     @pytest.mark.parametrize("n_clients, alpha", [(80, 0.1), (1000, 0.5)])

@@ -2,8 +2,9 @@
 module imports a name it never uses; every module-level ``_private``
 function, class or constant is referenced somewhere in the package
 beyond its definition, and every public one in the package, ``scripts/``
-or ``roundbench/`` (tests do not count); and every function reads each
-of its parameters."""
+or ``roundbench/`` (tests do not count); every function reads each of
+its parameters; and every parameter with a default is passed by some
+call there, so a knob no caller turns is a constant."""
 import ast
 from pathlib import Path
 
@@ -20,6 +21,13 @@ _USERS = [ast.parse(path.read_text(encoding="utf-8"))
 # per-pair signature, which pass all six arguments on, keep working:
 # roundbench/test_checks.py::test_traced_run_catches_a_swapped_donor.
 _UNREAD_ALLOWED = {("select_donor", name) for name in ("flagged", "metric", "features")}
+
+_UNPASSED_ALLOWED = {
+    # the console script calls it with no arguments; tests pass argv
+    ("main", "argv"),
+    # kept for the same wrappers as _UNREAD_ALLOWED
+    *_UNREAD_ALLOWED,
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -86,6 +94,52 @@ def _unread_parameters(tree: ast.AST) -> dict[tuple[str, str], int]:
     return unread
 
 
+def _passed(trees: list[ast.AST]) -> dict[str, tuple[float, set[str]]]:
+    """Callee name -> (the most positional arguments a call of it passes,
+    the keywords calls pass). A ``*`` splat passes every position and a
+    ``**`` splat every keyword (``"**"``); ``functools.partial(f, ...)``
+    counts as a call of ``f``."""
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for call in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(call, ast.Call):
+            continue
+        func, args = call.func, call.args
+        if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+            func, args = args[0], args[1:]
+        name = getattr(func, "id", getattr(func, "attr", None))
+        count, keywords = passed.get(name, (0, set()))
+        star = any(isinstance(a, ast.Starred) for a in args)
+        passed[name] = (max(count, float("inf") if star else len(args)),
+                        keywords | {k.arg or "**" for k in call.keywords})
+    return passed
+
+
+def _unpassed_defaults(tree: ast.AST, passed: dict[str, tuple[float, set[str]]]
+                       ) -> dict[tuple[str, str], int]:
+    """(function, parameter) -> line of each parameter with a default that
+    no call in ``passed`` passes; dunder methods aside. A method's calls
+    do not pass its ``self`` or ``cls``."""
+    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}}
+    unpassed = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                fn.name.startswith("__") and fn.name.endswith("__")):
+            continue
+        a = fn.args
+        count, keywords = passed.get(fn.name, (0, set()))
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        skip = id(fn) in methods
+        defaulted = [(p, i - skip < count) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p, False) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for p, by_position in defaulted:
+            if not (by_position or p.arg in keywords or "**" in keywords):
+                unpassed[fn.name, p.arg] = p.lineno
+    return unpassed
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = [f"{module}:{line} {name}"
               for module, tree in _TREES.items()
@@ -119,6 +173,15 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    passed = _passed([*_TREES.values(), *_USERS])
+    unpassed = [f"{module}:{line} {fn}({param})"
+                for module, tree in _TREES.items()
+                for (fn, param), line in _unpassed_defaults(tree, passed).items()
+                if (fn, param) not in _UNPASSED_ALLOWED]
+    assert unpassed == []
+
+
 def test_the_check_sees_an_unused_import_and_a_dead_private_helper():
     tree = ast.parse("import os\nimport numpy as np\n"
                      "def _dead():\n    return np.zeros(1)\n"
@@ -128,10 +191,19 @@ def test_the_check_sees_an_unused_import_and_a_dead_private_helper():
                      "    def inner(c):\n        return a\n"
                      "    return inner, rest\n"
                      "class Used:\n    def __init__(self, unread):\n        pass\n"
-                     "    def method(self, x):\n        return x\n"
-                     "Used()\n")
+                     "    def method(self, x, scale=1):\n        return x * scale\n"
+                     "Used()\nUsed().method(1, 2)\n"
+                     "def knobs(a, by_key=1, by_position=2, unset=3, *, kw_unset=4):\n"
+                     "    return a, by_key, by_position, unset, kw_unset\n"
+                     "knobs(0, by_key=1)\nknobs(0, 1, 2)\n"
+                     "def splatted(a=1, *, b=2):\n    return a, b\n"
+                     "splatted(*print(), **print())\n"
+                     "def bound(a, b=1):\n    return a, b\n"
+                     "functools.partial(bound, 0, 1)\n")
     assert [n for n in _imported(tree) if n not in _read(tree)] == ["os"]
     dead = [n for n in _definitions(tree) if n not in _referenced(tree)]
     assert dead == ["_dead", "_UNUSED", "public"]
     assert list(_unread_parameters(tree)) == [
         ("public", "b"), ("public", "key"), ("public", "extra"), ("inner", "c")]
+    assert list(_unpassed_defaults(tree, _passed([tree]))) == [
+        ("public", "key"), ("knobs", "unset"), ("knobs", "kw_unset")]

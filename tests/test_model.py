@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -266,31 +267,27 @@ class TestLocalTrainOracle:
 
 @st.composite
 def stacks(draw):
-    """A seeded architecture and a stack of 1-12 clients sharing it: each
-    client has a ragged shard of 1 to 3 * batch rows, with sizes drawn
-    from a pool so that some repeat; its own epochs (1-5) and seed; and
-    one or two batch sizes (1-40) and learning rates in the stack.
+    """A seeded architecture and a stack of 1-12 clients sharing it and
+    one training config: epochs (1-5), batch size (1-40) and learning
+    rate. Each client has its own seed and a ragged shard of 1 to
+    3 * batch rows, with sizes drawn from a pool so that some repeat.
     Features are float64, float32 or 0/1 integers."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = (draw(st.integers(1, 8)), *draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)),
             draw(st.integers(2, 4)))
-    batches = draw(st.lists(st.integers(1, 40), min_size=1, max_size=2))
-    rates = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=2))
+    epochs, batch = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    rate = draw(st.floats(0.01, 0.5))
     kind = draw(st.sampled_from(["float64", "float32", "binary"]))
     k = draw(st.integers(1, 12))
-    batch = [draw(st.sampled_from(batches)) for _ in range(k)]
-    pool = draw(st.lists(st.integers(1, 3 * max(batches)), min_size=1, max_size=k))
-    sizes = [min(draw(st.sampled_from(pool)), 3 * b) for b in batch]
-    epochs = draw(st.one_of(st.lists(st.integers(1, 5), min_size=k, max_size=k),
-                            st.integers(1, 5).map(lambda e: [e] * k)))
+    pool = draw(st.lists(st.integers(1, 3 * batch), min_size=1, max_size=k))
     shards, cfgs = [], []
-    for n, b, e in zip(sizes, batch, epochs):
+    for n in (draw(st.sampled_from(pool)) for _ in range(k)):
         if kind == "binary":
             feats = rng.integers(0, 2, (n, dims[0]))
         else:
             feats = rng.uniform(0, 1, (n, dims[0])).astype(kind)
         shards.append(Dataset(feats, rng.integers(0, dims[-1], n), dims[-1]))
-        cfgs.append(TrainConfig(e, float(rng.choice(rates)), b, int(rng.integers(2**32))))
+        cfgs.append(TrainConfig(epochs, rate, batch, int(rng.integers(2**32))))
     arch = MlpArchitecture(tuple(int(d) for d in dims))
     return arch, init_model(arch, int(rng.integers(2**32))), shards, cfgs
 
@@ -332,11 +329,17 @@ class TestLocalTrainStack:
             assert np.array_equal(row, local_train(arch, start, shards[c], cfgs[c]).values)
 
     def test_misuse_rejected(self):
-        """Hooks need a stack of one, each shard a config, and ``out``
-        must hold the rows the runs' views are taken of. An empty stack
-        trains nothing."""
+        """Hooks need a stack of one, each shard a config, all configs
+        one epoch count, learning rate and batch size, and ``out`` must
+        hold the rows the runs' views are taken of. An empty stack trains
+        nothing."""
         arch, start, data, cfg = random_shard(1)
         P = start.values.size
+        for other in (dataclasses.replace(cfg, epochs=cfg.epochs + 1),
+                      dataclasses.replace(cfg, learning_rate=cfg.learning_rate / 2),
+                      dataclasses.replace(cfg, batch_size=cfg.batch_size + 1)):
+            with pytest.raises(ValueError, match="share epochs, learning rate and batch size"):
+                local_train_stack(arch, start, [data, data], [cfg, other], np.empty((2, P)))
         with pytest.raises(ValueError, match="stack of one"):
             local_train_stack(arch, start, [data, data], [cfg, cfg], np.empty((2, P)),
                               post_step=lambda v: v)
@@ -358,8 +361,8 @@ class TestLocalTrainStack:
         (k, P) gradient buffer would read about 7.6 MiB."""
         arch, start, shards, cfgs = scale_part()
         k, P, dims = len(shards), start.values.size, arch.layer_dims
-        runs = [[min(max(len(s) - t * c.batch_size, 0), c.batch_size)
-                 for s, c in zip(shards, cfgs)] for t in range(3)]
+        bs = cfgs[0].batch_size
+        runs = [[min(max(len(s) - t * bs, 0), bs) for s in shards] for t in range(3)]
         widest = max(row.count(m) for row in runs for m in set(row) - {0})
         rows = max(row.count(m) * m for row in runs for m in set(row) - {0})
         activations = rows * 8 * (sum(dims) + sum(dims[1:-1])) + rows * (max(dims[1:-1]) + 8)

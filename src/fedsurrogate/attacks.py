@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, TriggerSpec, poison_partition
 from .model import MlpArchitecture, TrainConfig, local_train
-from .params import EPS_ZERO, ParameterVector, check_key, cosine_distance
+from .params import EPS_ZERO, ParameterVector, check_key, cosine_distance, floor_share
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def neurotoxin_mask(reference: np.ndarray | None, ratio: float) -> np.ndarray:
     if reference is None:
         raise ValueError("mask needs a size; callers handle the no-reference case")
     p = reference.size
-    k = int(np.floor(ratio * p + 1e-9))
+    k = floor_share(ratio, p)
     mask = np.zeros(p, dtype=bool)
     if k == 0:
         return mask

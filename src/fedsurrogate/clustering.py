@@ -1,6 +1,11 @@
 """HDBSCAN over a precomputed distance matrix: mutual reachability,
 single-linkage tree, condensed cluster tree, excess-of-mass extraction.
 
+The matrix must be square and symmetric bit for bit: ``D == D.T``
+exactly, which refuses NaN and a one-sided inf. Both matrices
+``params`` builds are, so a producer that breaks symmetry fails here
+instead of being read as one of its triangles.
+
 Conventions (fixed so results are bit-deterministic):
   * core distance = distance to the min_samples-th nearest OTHER point;
   * merge edges processed in lexicographic (weight, i, j) order, i < j;
@@ -35,30 +40,20 @@ import numpy as np
 
 _LAMBDA_EPS = 1e-12
 
-# Rows of D compared with their transposed columns at a time by
-# _check_matrix: a whole-matrix np.allclose(D, D.T) holds temporaries
-# of 2.2 times D.
-_CHECK_BLOCK_ROWS = 32
-
 
 def _check_matrix(D: np.ndarray) -> np.ndarray:
-    """D as a float64 array, once it is square and symmetric within
-    ``np.allclose(D, D.T, atol=1e-9)``, which is checked block by block
-    of rows: the test is elementwise, so the blocks accept exactly what
-    the whole matrix would."""
+    """D as a float64 array, once it is square and exactly symmetric."""
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("distance matrix must be square")
-    for lo in range(0, len(D), _CHECK_BLOCK_ROWS):
-        hi = lo + _CHECK_BLOCK_ROWS
-        if not np.allclose(D[lo:hi], D[:, lo:hi].T, atol=1e-9):
-            raise ValueError("distance matrix must be symmetric")
+    if not np.array_equal(D, D.T):
+        raise ValueError("distance matrix must be symmetric")
     return D
 
 
 def _core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance to each point's min_samples-th nearest other point, in a
-    matrix ``_check_matrix`` has accepted, for 1 <= min_samples < n."""
+    """Distance to each point's min_samples-th nearest other point, for
+    1 <= min_samples < n."""
     others = D.copy()
     np.fill_diagonal(others, np.inf)  # never among the first n - 1
     others.partition(min_samples - 1, axis=1)
@@ -84,20 +79,16 @@ def _single_linkage(MR: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]
     Returns (children, merge distance) indexed by internal node - n.
 
     The minimum spanning tree comes from an O(n^2) Prim pass over the
-    upper triangle (McInnes & Healy 2017, "Accelerated Hierarchical
+    rows of MR (McInnes & Healy 2017, "Accelerated Hierarchical
     Density Clustering"). Edges compare by the key (w, min(u, v),
     max(u, v)), a strict total order, under which the spanning tree is
     unique; replaying its edges in key order through union-find gives
     exactly the merges of Kruskal's algorithm over every edge.
 
-    ``MR`` is overwritten: its lower triangle becomes a copy of its
-    upper one, so a near-symmetric input (as ``_check_matrix`` admits)
-    is read as its upper triangle. Each Prim row's endpoint keys are
-    formed as the row is read, so no other n x n array is made.
+    ``MR`` is only read. Each Prim row's endpoint keys are formed as the
+    row is read, so no other n x n array is made.
     """
     n = len(MR)
-    for i in range(1, n):
-        MR[i, :i] = MR[:i, i]
     nodes = np.arange(n)
     # lightest edge from each node to the tree, as weight and endpoint
     # key min(u, v) * n + max(u, v); node 0 starts the tree

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .params import floor_share
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -252,7 +254,7 @@ def poison_partition(
     if not 0.0 <= pdr <= 1.0:
         raise ValueError("pdr must be in [0, 1]")
     n = len(ds)
-    k = int(np.floor(pdr * n + 1e-9))  # guard against 0.3 * 100 = 29.999...
+    k = floor_share(pdr, n)
     if k == 0:
         return ds
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0xB0]))

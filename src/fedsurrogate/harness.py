@@ -189,7 +189,7 @@ class ExperimentConfig:
 
     @property
     def n_malicious(self) -> int:
-        return int(np.floor(self.mcr * self.n_clients)) if self.attack_kind != "none" else 0
+        return params.floor_share(self.mcr, self.n_clients) if self.attack_kind != "none" else 0
 
 
 def config_fields(cls: type = ExperimentConfig, prefix: str = "") -> dict[str, object]:

@@ -45,12 +45,13 @@ class MlpArchitecture:
         return LayerSchema.from_lengths(lengths)
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views per layer over a flat parameter array;
-        weight shape (fan_in, fan_out)."""
-        out, lo = [], 0
+        """(weight, bias) views per layer over the last axis of a (..., P)
+        parameter array; weight shape (..., fan_in, fan_out)."""
+        out, lo, lead = [], 0, flat.shape[:-1]
         for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
             mid = lo + fan_in * fan_out
-            out.append((flat[lo:mid].reshape(fan_in, fan_out), flat[mid: mid + fan_out]))
+            out.append((flat[..., lo:mid].reshape(*lead, fan_in, fan_out),
+                        flat[..., mid: mid + fan_out]))
             lo = mid + fan_out
         return out
 
@@ -72,29 +73,22 @@ def init_model(arch: MlpArchitecture, seed: int) -> ParameterVector:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x1271]))
     schema = arch.schema()
     values = np.zeros(schema.total_length, dtype=np.float64)
-    for k in range(arch.num_layers):
-        fan_in, fan_out = arch.layer_dims[k], arch.layer_dims[k + 1]
-        bound = np.sqrt(6.0 / fan_in)
-        lo, _ = schema.bounds(f"fc{k + 1}")
-        values[lo: lo + fan_in * fan_out] = rng.uniform(-bound, bound, fan_in * fan_out)
+    for W, _ in arch.views(values):
+        bound = np.sqrt(6.0 / W.shape[0])
+        W[:] = rng.uniform(-bound, bound, W.shape)
     return ParameterVector(values, schema)
 
 
-def forward(
-    arch: MlpArchitecture, params: ParameterVector, features: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits of shape (batch, classes) plus cached activations: the
-    input and each hidden post-activation, as backpropagation needs."""
+def forward(arch: MlpArchitecture, params: ParameterVector, features: np.ndarray) -> np.ndarray:
+    """Logits of shape (batch, classes)."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != arch.layer_dims[0]:
         raise ValueError(f"feature dim {x.shape[1]} != input dim {arch.layer_dims[0]}")
     layers = arch.views(params.values)
-    cache = [x]
     for W, b in layers[:-1]:
         x = np.maximum(x @ W + b, 0.0)
-        cache.append(x)
     W, b = layers[-1]
-    return x @ W + b, cache
+    return x @ W + b
 
 
 def _checked(arch: MlpArchitecture, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +184,6 @@ def local_train_stack(
     backs = [np.empty(capacity * d) for d in dims[1:-1]]  # d(loss)/d(hidden output)
     live = np.empty(capacity * max(dims[1:-1]), dtype=bool)
     labels = np.empty(capacity, dtype=np.int64)
-    # per layer: weights [lo, mid), bias [mid, hi)
-    bounds = [(lo, lo + fi * fo, lo + length) for (_, lo, length), fi, fo
-              in zip(arch.schema().layers, dims, dims[1:])]
 
     def plan(a: int, b: int, m: int):
         """The views a step of run (a, b, m) works in."""
@@ -200,12 +191,11 @@ def local_train_stack(
         x, *outputs = [buf[: rows * d].reshape(g, m, d) for buf, d in zip(acts, dims)]
         inputs = [x, *outputs[:-1]]
         layers = []
-        for k, ((lo, mid, hi), fan_in, fan_out) in enumerate(zip(bounds, dims, dims[1:])):
-            W = out[a:b, lo:mid].reshape(g, fan_in, fan_out)
+        for k, ((W, bias), (gW, gb), fan_in) in enumerate(
+                zip(arch.views(out[a:b]), arch.views(grad[:g]), dims)):
             layers.append((
-                W, out[a:b, mid:hi][:, None, :], outputs[k],
-                inputs[k], inputs[k].transpose(0, 2, 1), W.transpose(0, 2, 1),
-                grad[:g, lo:mid].reshape(g, fan_in, fan_out), grad[:g, mid:hi],
+                W, bias[:, None, :], outputs[k],
+                inputs[k], inputs[k].transpose(0, 2, 1), W.transpose(0, 2, 1), gW, gb,
                 # d(loss)/d(input) and where the input's ReLU was live
                 (backs[k - 1][: rows * fan_in].reshape(g, m, fan_in),
                  live[: rows * fan_in].reshape(g, m, fan_in)) if k else None,
@@ -276,8 +266,7 @@ def local_train(
 
 
 def predict(arch: MlpArchitecture, params: ParameterVector, features: np.ndarray) -> np.ndarray:
-    logits, _ = forward(arch, params, features)
-    return logits.argmax(axis=1)  # argmax tie-break: lowest class index
+    return forward(arch, params, features).argmax(axis=1)  # argmax tie-break: lowest class index
 
 
 def evaluate(arch: MlpArchitecture, params: ParameterVector, test: Dataset) -> float:

@@ -26,6 +26,12 @@ EPS_ZERO = 1e-12          # norms below this count as degenerate
 ZERO_NORM_DISTANCE = 1.0  # cosine-distance fallback for degenerate pairs
 
 
+def floor_share(rate: float, n: int) -> int:
+    """floor(rate * n), read as the integer a product lands just under:
+    0.29 * 100 is 28.999999999999996 in float64, and counts 29."""
+    return int(np.floor(rate * n + 1e-9))
+
+
 class SchemaError(ValueError):
     """Layer-schema violation: unknown name, bad offsets, length mismatch."""
 

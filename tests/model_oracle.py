@@ -2,14 +2,28 @@
 replaced, kept as test oracles.
 
 ``local_train_reference`` is the per-step loop: a fresh frozen
-``ParameterVector`` per step, ``forward`` then ``backward`` (which
+``ParameterVector`` per step, ``forward_cache`` then ``backward`` (which
 recomputes the logits), and a new parameter array per update.
-``local_train`` must reproduce its result bit for bit.
+``local_train`` must reproduce its result bit for bit. The oracle runs
+its own forward pass, so it shares no step of the arithmetic with
+``model``.
 """
 import numpy as np
 
-from fedsurrogate.model import forward
 from fedsurrogate.params import ParameterVector
+
+
+def forward_cache(arch, params, features):
+    """Logits plus cached activations: the input and each hidden
+    post-activation, as ``backward`` needs."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    weights = arch.views(params.values)
+    cache = [x]
+    for W, b in weights[:-1]:
+        x = np.maximum(x @ W + b, 0.0)
+        cache.append(x)
+    W, b = weights[-1]
+    return x @ W + b, cache
 
 
 def _softmax(logits):
@@ -64,7 +78,7 @@ def local_train_reference(arch, start, data, cfg, extra_grad=None, post_step=Non
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo: lo + cfg.batch_size]
             current = ParameterVector(values, start.schema)
-            _, cache = forward(arch, current, data.features[idx])
+            _, cache = forward_cache(arch, current, data.features[idx])
             grad = backward(arch, current, cache, data.labels[idx]).values
             if extra_grad is not None:
                 grad = grad + extra_grad(values)

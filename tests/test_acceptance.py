@@ -32,7 +32,7 @@ from fedsurrogate.params import (
 
 from conftest import child_env, record_criterion
 from hdbscan_oracle import hdbscan_reference
-from model_oracle import backward, cross_entropy
+from model_oracle import backward, cross_entropy, forward_cache
 
 SEEDS = (1, 11, 13)
 
@@ -279,7 +279,7 @@ class TestCriterion9:
             params = init_model(arch, int(rng.integers(0, 1000)))
             feats = rng.uniform(0, 1, size=(4, 5))
             labels = rng.integers(0, 3, size=4)
-            _, cache = forward(arch, params, feats)
+            _, cache = forward_cache(arch, params, feats)
             grad = backward(arch, params, cache, labels).values
             num = np.empty_like(grad)
             eps = 1e-6
@@ -287,8 +287,8 @@ class TestCriterion9:
                 up, dn = params.values.copy(), params.values.copy()
                 up[i] += eps
                 dn[i] -= eps
-                lu, _ = forward(arch, ParameterVector(up, params.schema), feats)
-                ld, _ = forward(arch, ParameterVector(dn, params.schema), feats)
+                lu = forward(arch, ParameterVector(up, params.schema), feats)
+                ld = forward(arch, ParameterVector(dn, params.schema), feats)
                 num[i] = (cross_entropy(lu, labels) - cross_entropy(ld, labels)) / (2 * eps)
             rel = np.max(np.abs(grad - num) / np.maximum(np.abs(num), 1e-3))
             worst_rel = max(worst_rel, float(rel))

@@ -209,21 +209,19 @@ class TestPrimTies:
         assert hdbscan(D, mcs, ms, eps) == hdbscan_reference(D, mcs, ms, eps)
 
 
-def test_single_linkage_reads_the_upper_triangle_of_a_near_symmetric_matrix():
+def test_single_linkage_leaves_a_read_only_matrix_unchanged():
     D, _ = tie_heavy_matrix(3)
     MR = mutual_reachability(D, 2)
     want = merge_sequence(len(MR), *_single_linkage(MR.copy()))
-    rng = np.random.default_rng(0)
-    skewed = MR + np.tril(rng.uniform(-1e-10, 1e-10, MR.shape), -1)
-    assert merge_sequence(len(MR), *_single_linkage(skewed)) == want
-    assert np.array_equal(skewed, MR)   # the lower triangle became the upper's copy
+    frozen = MR.copy()
+    frozen.flags.writeable = False
+    assert merge_sequence(len(MR), *_single_linkage(frozen)) == want
+    assert np.array_equal(frozen, MR)
 
 
 class TestMatrixCheck:
-    """``_check_matrix`` compares blocks of rows with their transposed
-    columns; it must accept exactly what ``np.allclose(D, D.T,
-    atol=1e-9)`` over the whole matrix accepts, and ``hdbscan`` must run
-    it once."""
+    """``_check_matrix`` accepts a matrix only when it equals its
+    transpose bit for bit, and ``hdbscan`` runs it once."""
 
     @staticmethod
     def accepted(D):
@@ -235,28 +233,36 @@ class TestMatrixCheck:
         return True
 
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
-    def test_accepts_what_the_whole_matrix_allclose_accepts(self, n):
+    def test_accepts_only_exact_symmetry(self, n):
         rng = np.random.default_rng(n)
         for trial in range(40):
             A = rng.uniform(0.0, 3.0, (n, n))
             D = np.triu(A, 1) + np.triu(A, 1).T
-            i, j = rng.integers(n, size=2)
-            # near the tolerance atol + rtol * |D[j, i]| on either side
-            scale = (1e-9 + 1e-5 * abs(D[j, i])) * rng.choice([0.5, 0.999, 1.001, 2.0])
-            D[i, j] += scale * rng.choice([-1.0, 1.0])
-            if trial % 8 == 1:
+            assert self.accepted(D), (n, trial)
+            # an off-diagonal entry, or the diagonal of a single point
+            i, j = rng.choice(n, 2, replace=False) if n > 1 else (0, 0)
+            if trial % 4 == 0:
+                D[i, j] = D[j, i] = np.inf   # a symmetric inf is symmetric
+                assert self.accepted(D), (n, trial)
+                continue
+            if trial % 4 == 1:   # one ulp up or down
+                D[i, j] = np.nextafter(D[i, j], rng.choice([-np.inf, np.inf]))
+            elif trial % 4 == 2:
                 D[i, j] = np.nan
-            elif trial % 8 == 2:
-                D[i, j] = D[j, i] = np.inf
-            elif trial % 8 == 3:
+            else:
                 D[i, j] = np.inf
-            assert self.accepted(D) == np.allclose(D, D.T, atol=1e-9), (n, trial)
+            # a NaN is refused even on the diagonal, which D.T maps onto itself
+            assert self.accepted(D) == (i == j and trial % 4 != 2), (n, trial)
 
     def test_error_messages_kept(self):
         with pytest.raises(ValueError, match="^distance matrix must be square$"):
             _check_matrix(np.zeros((3, 4)))
         D = np.zeros((40, 40))
         D[39, 3] = 1.0
+        with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):
+            hdbscan(D, min_cluster_size=5, min_samples=3)
+        D, _ = blob_matrix([8, 12])
+        D[11, 4] = np.nextafter(D[11, 4], np.inf)   # one ulp
         with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):
             hdbscan(D, min_cluster_size=5, min_samples=3)
 

@@ -4,7 +4,9 @@ function, class or constant is referenced somewhere in the package
 beyond its definition, and every public one in the package, ``scripts/``
 or ``roundbench/`` (tests do not count); every function reads each of
 its parameters; and every parameter with a default is passed by some
-call there, so a knob no caller turns is a constant."""
+call there, so a knob no caller turns is a constant. Beside it, a check
+that the HDBSCAN test oracle imports nothing from the package it
+checks."""
 import ast
 from pathlib import Path
 
@@ -40,6 +42,15 @@ def _imported(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     return bound
+
+
+def _package_imports(tree: ast.AST) -> list[int]:
+    """Line of each import of ``fedsurrogate`` or of a relative module."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "fedsurrogate" for a in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "fedsurrogate"))]
 
 
 def _read(tree: ast.AST) -> set[str]:
@@ -180,6 +191,18 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                 for (fn, param), line in _unpassed_defaults(tree, passed).items()
                 if (fn, param) not in _UNPASSED_ALLOWED]
     assert unpassed == []
+
+
+def test_the_hdbscan_oracle_imports_nothing_from_the_package():
+    oracle = Path(__file__).with_name("hdbscan_oracle.py")
+    assert _package_imports(ast.parse(oracle.read_text(encoding="utf-8"))) == []
+
+
+def test_the_oracle_check_sees_every_form_of_package_import():
+    tree = ast.parse("import numpy\nimport fedsurrogate.clustering as c\n"
+                     "from fedsurrogate import params\nfrom . import data\n"
+                     "from fedsurrogate_extra import x\n")
+    assert _package_imports(tree) == [2, 3, 4]
 
 
 def test_the_check_sees_an_unused_import_and_a_dead_private_helper():

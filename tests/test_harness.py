@@ -70,6 +70,12 @@ class TestConfigValidation:
     def test_n_malicious_floor(self):
         assert quick_config(n_clients=20, mcr=0.3).n_malicious == 6
 
+    @pytest.mark.parametrize("mcr, n_clients, want",
+                             [(0.29, 100, 29), (0.57, 100, 57), (0.58, 50, 29)])
+    def test_n_malicious_of_a_product_just_under_an_integer(self, mcr, n_clients, want):
+        assert mcr * n_clients < want   # the float64 product is inexact
+        assert quick_config(n_clients=n_clients, mcr=mcr).n_malicious == want
+
     def test_rescue_layers_checked_against_hidden_dims(self):
         with pytest.raises(ValueError, match="fc3"):
             quick_config(hidden_dims=(32,))

@@ -21,7 +21,7 @@ from fedsurrogate.model import (
 )
 from fedsurrogate.params import ParameterVector
 
-from model_oracle import backward, cross_entropy, local_train_reference
+from model_oracle import backward, cross_entropy, forward_cache, local_train_reference
 
 
 def grad_finite_difference(arch, params, features, labels, eps=1e-6):
@@ -32,8 +32,8 @@ def grad_finite_difference(arch, params, features, labels, eps=1e-6):
         plus[i] += eps
         minus = base.copy()
         minus[i] -= eps
-        lp, _ = forward(arch, ParameterVector(plus, params.schema), features)
-        lm, _ = forward(arch, ParameterVector(minus, params.schema), features)
+        lp = forward(arch, ParameterVector(plus, params.schema), features)
+        lm = forward(arch, ParameterVector(minus, params.schema), features)
         out[i] = (cross_entropy(lp, labels) - cross_entropy(lm, labels)) / (2 * eps)
     return out
 
@@ -58,7 +58,7 @@ class TestForward:
     def test_zero_weights_zero_logits(self):
         arch = MlpArchitecture((4, 3, 2))
         params = ParameterVector(np.zeros(arch.schema().total_length), arch.schema())
-        logits, _ = forward(arch, params, np.ones((5, 4)))
+        logits = forward(arch, params, np.ones((5, 4)))
         assert np.all(logits == 0.0)
 
     def test_hand_computed_two_neuron(self):
@@ -69,8 +69,15 @@ class TestForward:
         values[0:4] = np.eye(2).ravel()
         lo, _ = schema.bounds("fc2")
         values[lo:lo + 4] = np.array([[1.0, 0.0], [0.0, 2.0]]).ravel()
-        logits, _ = forward(arch, ParameterVector(values, schema), np.array([[1.0, 1.0]]))
+        logits = forward(arch, ParameterVector(values, schema), np.array([[1.0, 1.0]]))
         assert np.allclose(logits, [[1.0, 2.0]])
+
+    def test_matches_the_oracle_forward_pass(self):
+        arch = MlpArchitecture((5, 4, 3, 3))
+        feats = np.random.default_rng(0).uniform(0, 1, size=(7, 5))
+        params = init_model(arch, 2)
+        logits, _ = forward_cache(arch, params, feats)
+        assert np.array_equal(forward(arch, params, feats), logits)
 
     def test_dim_mismatch(self):
         arch = MlpArchitecture((4, 3, 2))
@@ -87,7 +94,7 @@ class TestBackward:
         params = init_model(arch, seed)
         feats = rng.uniform(0, 1, size=(6, 5))
         labels = rng.integers(0, 3, size=6)
-        _, cache = forward(arch, params, feats)
+        _, cache = forward_cache(arch, params, feats)
         grad = backward(arch, params, cache, labels).values
         num = grad_finite_difference(arch, params, feats, labels)
         scale = np.maximum(np.abs(num), 1e-3)
@@ -99,18 +106,18 @@ class TestBackward:
         rng = np.random.default_rng(1)
         feats = rng.uniform(0, 1, size=(3, 4))
         labels = np.array([0, 1, 1])
-        _, c1 = forward(arch, params, feats)
+        _, c1 = forward_cache(arch, params, feats)
         g1 = backward(arch, params, c1, labels).values
         feats2 = np.vstack([feats, feats])
         labels2 = np.concatenate([labels, labels])
-        _, c2 = forward(arch, params, feats2)
+        _, c2 = forward_cache(arch, params, feats2)
         g2 = backward(arch, params, c2, labels2).values
         assert np.allclose(g1, g2, atol=1e-12)
 
     def test_label_out_of_range(self):
         arch = MlpArchitecture((4, 3, 2))
         params = init_model(arch, 1)
-        _, cache = forward(arch, params, np.ones((1, 4)))
+        _, cache = forward_cache(arch, params, np.ones((1, 4)))
         with pytest.raises(ValueError):
             backward(arch, params, cache, np.array([5]))
 
@@ -129,8 +136,8 @@ class TestLocalTrain:
     def test_loss_decreases(self):
         cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=16, seed=0)
         out = local_train(self.arch, self.start, self.ds, cfg)
-        l0, _ = forward(self.arch, self.start, self.ds.features)
-        l1, _ = forward(self.arch, out, self.ds.features)
+        l0 = forward(self.arch, self.start, self.ds.features)
+        l1 = forward(self.arch, out, self.ds.features)
         assert cross_entropy(l1, self.ds.labels) <= cross_entropy(l0, self.ds.labels)
 
     def test_seeded_reproducible(self):

@@ -28,6 +28,12 @@ their points exit (None on a cluster's spine); it records each cluster's
 size at birth for the stability sums. The result is the labels alone,
 one per point: a cluster id numbered by first point, or -1 for noise.
 
+The result reads only the core distances and the spanning tree's edges,
+so a matrix that agrees with D there and holds lower bounds of D
+elsewhere gives D's labels. ``screened_matrix`` builds one from
+certified bounds, computing exactly only the pairs those depend on:
+Stage 1 clusters such a matrix instead of the full Euclidean one.
+
 The test oracle, a naive implementation that shares no helper with
 this module (repeated matrix-scan merging, recursive condensing), is
 ``tests/hdbscan_oracle.py``.
@@ -35,6 +41,7 @@ this module (repeated matrix-scan merging, recursive condensing), is
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 
@@ -51,19 +58,24 @@ def _check_matrix(D: np.ndarray) -> np.ndarray:
     return D
 
 
-def _core_distances(D: np.ndarray, min_samples: int) -> np.ndarray:
+def _core_distances(
+    D: np.ndarray, min_samples: int, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Distance to each point's min_samples-th nearest other point, for
-    1 <= min_samples < n."""
-    others = D.copy()
+    1 <= min_samples < n. The rows are partitioned in a copy of D, or in
+    ``scratch``, an n x n array (D itself allowed) that is overwritten."""
+    others = D.copy() if scratch is None else scratch
+    if others is not D:
+        np.copyto(others, D)
     np.fill_diagonal(others, np.inf)  # never among the first n - 1
     others.partition(min_samples - 1, axis=1)
     return others[:, min_samples - 1].copy()
 
 
-def _reachability(D: np.ndarray, core: np.ndarray) -> np.ndarray:
+def _reachability(D: np.ndarray, core: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Mutual reachability MR(a, b) = max(core_a, core_b, D(a, b)), zero
-    diagonal."""
-    MR = np.maximum.outer(core, core)
+    diagonal, in a new array or in ``out``."""
+    MR = np.maximum.outer(core, core, out=out)
     np.maximum(D, MR, out=MR)
     np.fill_diagonal(MR, 0.0)
     return MR
@@ -73,44 +85,62 @@ def _lam(dist: float) -> float:
     return 1.0 / max(dist, _LAMBDA_EPS)
 
 
+def _spanning_tree(MR: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum spanning tree of MR under the edge key (w, min(u, v),
+    max(u, v)), a strict total order under which the tree is unique, as
+    n - 1 edges (w, lo, hi) with lo < hi, from an O(n^2) Prim pass over
+    the rows of MR (McInnes & Healy 2017, "Accelerated Hierarchical
+    Density Clustering"). ``MR`` is only read.
+
+    Two edges into the same node x compare by their other ends alone, so
+    a node's lightest edge to the tree is its lightest weight ``best``
+    there and the lowest tree node at that weight. A step therefore
+    keeps only ``best`` (inf, and left out of the update, for nodes
+    already in) and forms endpoint keys only where the lightest weights
+    tie. Each node's tree end is found once at the end: the lowest node
+    that joined before it at its weight."""
+    n = len(MR)
+    best = MR[0].copy()
+    best[0] = np.inf
+    out = np.ones(n, dtype=bool)   # the nodes still out of the tree
+    out[0] = False
+    joined = np.full(n, n)   # the step at which each node joined the tree
+    joined[0] = -1
+    w = np.empty(n)          # the weight of the edge that took each node in
+    for step in range(n - 1):
+        v = best.argmin()
+        wv = best[v]
+        best[v] = np.inf
+        if best[best.argmin()] == wv:
+            # lightest key among the tied nodes' edges (or an inf edge,
+            # where argmin may have found a node already in)
+            best[v] = wv
+            x = np.flatnonzero((best == wv) & out)
+            u = ((MR[x] == wv) & (joined < step)).argmax(axis=1)
+            v = x[np.lexsort((np.maximum(u, x), np.minimum(u, x)))[0]]
+            best[v] = np.inf
+        w[v], joined[v], out[v] = wv, step, False
+        np.minimum(best, MR[v], out=best, where=out)
+    x = np.arange(1, n)
+    earlier_at_weight = MR[1:] == w[1:, None]
+    earlier_at_weight &= joined < joined[1:, None]
+    tree_end = earlier_at_weight.argmax(axis=1)
+    return w[1:], np.minimum(x, tree_end), np.maximum(x, tree_end)
+
+
 def _single_linkage(MR: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
     """Single-linkage merge tree. Node ids: 0..n-1 points, n..2n-2 internal.
 
     Returns (children, merge distance) indexed by internal node - n.
 
-    The minimum spanning tree comes from an O(n^2) Prim pass over the
-    rows of MR (McInnes & Healy 2017, "Accelerated Hierarchical
-    Density Clustering"). Edges compare by the key (w, min(u, v),
-    max(u, v)), a strict total order, under which the spanning tree is
-    unique; replaying its edges in key order through union-find gives
-    exactly the merges of Kruskal's algorithm over every edge.
-
-    ``MR`` is only read. Each Prim row's endpoint keys are formed as the
-    row is read, so no other n x n array is made.
+    Replaying the edges of ``_spanning_tree`` in key order through
+    union-find gives exactly the merges of Kruskal's algorithm over
+    every edge. ``MR`` is only read.
     """
     n = len(MR)
-    nodes = np.arange(n)
-    # lightest edge from each node to the tree, as weight and endpoint
-    # key min(u, v) * n + max(u, v); node 0 starts the tree
-    best_w, best_key = MR[0].copy(), nodes.copy()
-    done = np.zeros(n, dtype=bool)
-    done[0] = True
-    edge_w, edge_lo, edge_hi = [], [], []
-    for _ in range(n - 1):
-        cand = np.where(done, np.inf, best_w)
-        ties = np.flatnonzero(cand == cand.min())
-        v = ties[np.argmin(best_key[ties])]
-        edge_w.append(best_w[v])
-        edge_lo.append(int(best_key[v]) // n)
-        edge_hi.append(int(best_key[v]) % n)
-        done[v] = True
-        # entries of nodes already done go stale; they are never read again
-        row = MR[v]
-        key = np.minimum(nodes, v) * n + np.maximum(nodes, v)
-        better = (row < best_w) | ((row == best_w) & (key < best_key))
-        np.copyto(best_w, row, where=better)
-        np.copyto(best_key, key, where=better)
-    order = np.lexsort((edge_hi, edge_lo, edge_w))
+    w, lo, hi = _spanning_tree(MR)
+    order = np.lexsort((hi, lo, w))
+    edge_w, edge_lo, edge_hi = w.tolist(), lo.tolist(), hi.tolist()
 
     parent = list(range(2 * n - 1))
 
@@ -237,6 +267,62 @@ def _select_eom(
     return owner
 
 
+def screened_matrix(
+    L: np.ndarray,
+    U: np.ndarray,
+    min_samples: int,
+    distances: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """A matrix on which ``hdbscan`` with ``min_samples`` gives the labels
+    it gives on the exact distance matrix D, from symmetric bounds
+    L <= D <= U with zero diagonals (``params.euclidean_bounds``) and
+    ``distances(i, j)``, the entries D[i, j] of index arrays i < j. The
+    result is L itself, in which the entries HDBSCAN's result depends
+    on are overwritten by D, and every other entry is a lower bound; U
+    is overwritten too, as scratch, so that no other n x n float array
+    is made:
+
+    - Core distances. Every pair whose L is at most t, the
+      min_samples-th smallest U of either of its rows, is made exact.
+      A row's core distance is at most its t, and every entry of the row
+      at most t is then exact, so the core distances are D's, and every
+      bound left in a row exceeds its core distance. A pair left as a
+      bound therefore has mutual reachability D[i, j] >= L[i, j], and
+      the reachability matrix holds D's reachabilities or lower bounds
+      of them.
+    - Spanning tree. ``_spanning_tree`` runs on that matrix; each of its
+      edges that is still a bound is made exact, and the tree is taken
+      again, until all of its edges are exact. Raising the weights of
+      edges outside a tree keeps it the unique minimum spanning tree
+      under the (w, min, max) order (each stays the heaviest edge of the
+      cycle it closes), so it is D's tree.
+
+    The condensing, the selection and the core-distance fence read only
+    the core distances and the tree's edges, so the labels are D's."""
+    t = _core_distances(U, min_samples, scratch=U)   # from here U is scratch
+    exact = L <= t[:, None]
+    exact |= L <= t
+    D = L
+
+    def settle(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        d = distances(i, j)
+        D[i, j] = D[j, i] = d
+        exact[i, j] = exact[j, i] = True
+        return d
+
+    i, j = np.nonzero(exact)
+    settle(i[i < j], j[i < j])
+    core = _core_distances(D, min_samples, scratch=U)
+    MR = _reachability(D, core, out=U)
+    while True:
+        _, lo, hi = _spanning_tree(MR)
+        bound = ~exact[lo, hi]
+        if not bound.any():
+            return D
+        i, j = lo[bound], hi[bound]
+        MR[i, j] = MR[j, i] = np.maximum(settle(i, j), np.maximum(core[i], core[j]))
+
+
 ROOT_TRIM_MAD_MULTIPLIER = 3.0
 
 
@@ -263,6 +349,12 @@ def hdbscan(
     below the given radius: both sides stay inside the parent cluster, so
     tight sub-structure cannot fragment a population that is separable
     only at a coarser scale.
+
+    Every entry of ``D`` is read as a distance. The labels depend only
+    on each row's min_samples-th smallest entry (its core distance) and
+    on the edges of the mutual-reachability spanning tree, so a matrix
+    from ``screened_matrix``, exact at those entries and a lower bound
+    everywhere else, gets the labels of the exact matrix.
     """
     D = _check_matrix(D)
     if selection_epsilon < 0:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import hdbscan, largest_cluster
+from .clustering import hdbscan, largest_cluster, screened_matrix
 from .params import (
     EPS_ZERO,
     ClientUpdate,
@@ -26,6 +26,8 @@ from .params import (
     aligned_rows,
     check_key,
     cosine_distance_rows,
+    euclidean_bounds,
+    euclidean_pairs,
     pairwise_distance_matrix,
     row_dots,
 )
@@ -179,27 +181,34 @@ def select_critical_layers(
 
 def coarse_cluster(
     ids: Sequence[int], features: np.ndarray
-) -> tuple[frozenset[int], frozenset[int], np.ndarray, bool]:
+) -> tuple[frozenset[int], frozenset[int], bool]:
     """Cluster the clients' critical-layer deltas, row k of ``features``
     (``_critical_features``) being client ``ids[k]``'s; the largest
     cluster is accepted as the coarse trusted set when it carries a
     strict majority.
 
-    Returns (coarse trusted, suspects, euclidean distance matrix,
-    degenerate). Distances are euclidean rather than cosine: honest
-    updates agree in both direction and magnitude, while an attacker
-    must either diverge in direction or inflate magnitude to matter, and
-    only euclidean geometry sees both. The density clustering itself
-    runs with min_cluster_size = min_samples + 1 so genuinely dense
-    subgroups always surface as clusters; the majority condition is
-    applied afterwards. Splits at distance below
-    COARSE_SELECTION_EPSILON are suppressed, which stops local
-    sub-structure inside the honest mass from fragmenting it below the
-    majority threshold.
+    Returns (coarse trusted, suspects, degenerate). Distances are
+    euclidean rather than cosine: honest updates agree in both direction
+    and magnitude, while an attacker must either diverge in direction or
+    inflate magnitude to matter, and only euclidean geometry sees both.
+    The density clustering itself runs with min_cluster_size =
+    min_samples + 1 so genuinely dense subgroups always surface as
+    clusters; the majority condition is applied afterwards. Splits at
+    distance below COARSE_SELECTION_EPSILON are suppressed, which stops
+    local sub-structure inside the honest mass from fragmenting it below
+    the majority threshold.
+
+    ``hdbscan`` reads a screened matrix, not the full euclidean one:
+    certified bounds from one Gram product (``euclidean_bounds``), with
+    the exact distances of ``pairwise_distance_matrix``'s bits
+    (``euclidean_pairs``) at every pair the core distances and the
+    spanning tree depend on (``screened_matrix``). The labels are those
+    of the full matrix.
     """
     n = len(ids)
-    D = pairwise_distance_matrix(features, metric="euclidean")
     ms = min(COARSE_MIN_SAMPLES, n - 1)
+    D = screened_matrix(*euclidean_bounds(features), ms,
+                        lambda i, j: euclidean_pairs(features, i, j))
     labels = hdbscan(D, min_cluster_size=ms + 1, min_samples=ms,
                      selection_epsilon=COARSE_SELECTION_EPSILON)
     majority = n // 2 + 1
@@ -207,9 +216,9 @@ def coarse_cluster(
     if len(biggest) >= majority:
         trusted = frozenset(ids[i] for i in biggest)
         suspects = frozenset(ids) - trusted
-        return trusted, suspects, D, False
+        return trusted, suspects, False
     # no majority cluster: degrade to Stage-2-only filtering
-    return frozenset(ids), frozenset(), D, True
+    return frozenset(ids), frozenset(), True
 
 
 def round_matrix(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -468,7 +477,7 @@ def fedsurrogate_round(
     divergences = layer_divergence(updates)
     critical, degenerate_lca = select_critical_layers(divergences, lca_cfg)
     features = _critical_features(updates, critical)
-    coarse, suspects, D, degenerate_cluster = coarse_cluster(ids, features)
+    coarse, suspects, degenerate_cluster = coarse_cluster(ids, features)
 
     # Stage 2 (memory update precedes screening)
     if variant == "stage1":
@@ -499,9 +508,9 @@ def fedsurrogate_round(
     if flagged and trusted and variant not in ("stage1", "exclude"):
         order = sorted(flagged)
         rows = [index_of[cid] for cid in order]
-        # the flagged clients' donor-distance rows: the coarse D is already
-        # euclidean over the same critical-layer features
-        donor_rows = cosine_distance_rows(features, rows) if donor_metric == "cosine" else D[rows]
+        # the flagged clients' donor-distance rows over the critical-layer features
+        donor_rows = (cosine_distance_rows(features, rows) if donor_metric == "cosine"
+                      else pairwise_distance_matrix(features, "euclidean")[rows])
         for cid, row in zip(order, donor_rows):
             donor = select_donor(cid, trusted, row, index_of)
             donors[cid] = donor

@@ -11,6 +11,14 @@ O(n^2 P) distance loops keep the rows they reuse in L2 cache and read
 the rest of the matrix once per block of them: the Euclidean loop a
 block of EUCLIDEAN_BLOCK_ROWS columns of the triangle, the cosine rows
 a batch of up to EUCLIDEAN_BLOCK_ROWS gathered rows.
+
+Stage 1 runs neither loop. It screens with ``euclidean_bounds``, one
+Gram product that brackets every Euclidean distance the loop would
+compute, and computes exactly, with ``euclidean_pairs`` and the loop's
+bits, only the pairs its clustering depends on
+(``clustering.screened_matrix``): about 700 of the 51 040 pairs at
+n = 320. The Gram form alone stays unfit for distances, since it
+cancels on close pairs; it only decides which pairs need them.
 """
 from __future__ import annotations
 
@@ -273,6 +281,117 @@ def _euclidean_distances(X: np.ndarray) -> np.ndarray:
     _split_rows(fill, n - 1, n, width)
     np.sqrt(D, out=D)
     return D + D.T
+
+
+# Rows per tile of the Gram product. BLAS packs its operands into a work
+# buffer that stays resident: 0.57 MB for a 64 x 64 tile at 2676 columns,
+# 1.54 MB for a 320 x 320 product in one call. The tiles take 6.4 ms
+# there against 4.3 ms for the one call, on one thread.
+GRAM_TILE_ROWS = 64
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X X^T, symmetric bit for bit: each tile on or above the diagonal
+    is one BLAS product (numpy takes a tile on it, X[a:b] @ X[a:b].T,
+    as a symmetric product), and each tile below is its mirror's
+    transpose."""
+    n, T = len(X), GRAM_TILE_ROWS
+    G = np.empty((n, n))
+    for a in range(0, n, T):
+        for b in range(a, n, T):
+            np.matmul(X[a:a + T], X[b:b + T].T, out=G[a:a + T, b:b + T])
+            if b > a:
+                G[b:b + T, a:a + T] = G[a:a + T, b:b + T].T
+    return G
+
+
+# c in euclidean_bounds' error term: at least 8 covers the dot products'
+# error (gamma_P, in any summation order), each difference's rounding
+# and the root's, and the rounding of the bounds' own arithmetic.
+BOUND_FACTOR = 16.0
+
+
+def euclidean_bounds(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric (n, n) arrays L and U with zero diagonals that bracket
+    every entry D of ``pairwise_distance_matrix(X, "euclidean")``,
+    L <= D <= U, from one Gram product. With s = ``row_dots(X, X)``,
+    G = X X^T, the Gram form D~^2 = s_i + s_j - 2 G_ij and
+    E = c P u (|x_i| + |x_j|)^2 + c P 2^-1074 (u = 2^-53, c =
+    BOUND_FACTOR):
+
+        L = sqrt(max(D~^2 - E, 0)) (1 - c P u),
+        U = sqrt(D~^2 + E) (1 + c P u).
+
+    E bounds the Gram form's error against the exact squared distance:
+    gamma_P (|x_i| + |x_j|)^2 for the three dots and the rounding of the
+    sums, plus P halves of the least subnormal for products that
+    underflow. The factors cover the exact loop's own error (a
+    difference's rounding, gamma_P in its dot, the root's), so the
+    bounds hold for the bits that loop computes. The arithmetic runs on
+    D~^2 / 2 and E / 2, which saves doubling G. A row with s above
+    2^1020, where a dot could overflow, gets L = 0 and U = inf in each
+    of its pairs: below it every dot, and the exact loop's, is finite.
+
+    G (``_gram``) is symmetric bit for bit, and so are the bounds.
+    Floating-point events of this arithmetic (E underflows near a 1e-150
+    scale) are its own and do not reach the caller's ``np.errstate``."""
+    X = np.asarray(X, dtype=np.float64)
+    width = X.shape[1]
+    cpu = BOUND_FACTOR * width * 2.0 ** -53
+    with np.errstate(all="ignore"):
+        s = row_dots(X, X)
+        half = s / 2
+        r = np.sqrt(s)
+        r *= np.sqrt(cpu / 2)   # E / 2 = (r_i + r_j)^2 + tiny
+        tiny = BOUND_FACTOR * width * 2.0 ** -1075
+        U = _gram(X)
+        L = np.add.outer(half, half)   # D~^2 / 2, then L
+        L -= U
+        np.add.outer(r, r, out=U)      # (D~^2 + E) / 2, then U
+        U *= U
+        U += tiny
+        U += L
+        np.sqrt(U, out=U)
+        U *= np.sqrt(2.0) * (1.0 + cpu)
+        # E / 2 again, a block of rows at a time: only L and U are n x n
+        for lo in range(0, len(X), EUCLIDEAN_BLOCK_ROWS):
+            E = np.add.outer(r[lo:lo + EUCLIDEAN_BLOCK_ROWS], r)
+            E *= E
+            E += tiny
+            L[lo:lo + EUCLIDEAN_BLOCK_ROWS] -= E
+        np.maximum(L, 0.0, out=L)
+        np.sqrt(L, out=L)
+        L *= np.sqrt(2.0) * (1.0 - cpu)
+        far = ~(s <= 2.0 ** 1020)   # NaN too
+        if far.any():
+            L[far] = L[:, far] = 0.0
+            U[far] = U[:, far] = np.inf
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(U, 0.0)
+    return L, U
+
+
+# Differences euclidean_pairs holds at once: 171 KB at 2676 columns,
+# beside Stage 1's two n x n bound arrays (800 KB each at n = 320).
+PAIR_BLOCK_ROWS = 8
+
+
+def euclidean_pairs(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|X[j[k]] - X[i[k]]| for each k, with the bits of the entry (i[k],
+    j[k]) of ``pairwise_distance_matrix(X, "euclidean")``: the same
+    ``np.subtract`` into a row of an ``aligned_rows`` buffer, the same
+    BLAS dot of the difference with itself and the same root. The
+    differences are taken PAIR_BLOCK_ROWS at a time, one row each, so no
+    copy of the rows of X is made."""
+    out = np.empty(len(i))
+    buf = aligned_rows(min(PAIR_BLOCK_ROWS, len(i)), X.shape[1])
+    for lo in range(0, len(i), PAIR_BLOCK_ROWS):
+        diff = buf[: min(PAIR_BLOCK_ROWS, len(i) - lo)]
+        for row, a, b in zip(diff, i[lo:lo + len(diff)].tolist(), j[lo:lo + len(diff)].tolist()):
+            np.subtract(X[b], X[a], out=row)
+        # row_dots(diff, diff), written in place
+        np.matmul(diff[:, None, :], diff[..., None], out=out[lo:lo + len(diff), None, None])
+    return np.sqrt(out, out=out)
 
 
 def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:

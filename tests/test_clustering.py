@@ -209,6 +209,24 @@ class TestPrimTies:
         assert hdbscan(D, mcs, ms, eps) == hdbscan_reference(D, mcs, ms, eps)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_points_at_infinite_distance_match_reference(seed):
+    """A point whose distances overflowed to inf joins the tree by an inf
+    edge, at whichever step every point left out is that far."""
+    D, rng = tie_heavy_matrix(seed)
+    far = rng.choice(len(D), size=int(rng.integers(1, 3)), replace=False)
+    D[far, :] = D[:, far] = np.inf
+    np.fill_diagonal(D, 0.0)
+    ms = int(rng.integers(1, min(4, len(D))))
+    MR = mutual_reachability(D, ms)
+    naive_children, naive_dists = naive_merge_tree(MR)
+    nodes = range(len(D), 2 * len(D) - 1)
+    want = merge_sequence(len(D), [naive_children[k] for k in nodes],
+                          [naive_dists[k] for k in nodes])
+    assert merge_sequence(len(D), *_single_linkage(MR)) == want
+    assert hdbscan(D, 2, ms) == hdbscan_reference(D, 2, ms)
+
+
 def test_single_linkage_leaves_a_read_only_matrix_unchanged():
     D, _ = tie_heavy_matrix(3)
     MR = mutual_reachability(D, 2)

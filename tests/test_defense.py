@@ -106,13 +106,13 @@ class TestCoarseCluster:
         rng = np.random.default_rng(0)
         benign = [np.array([1.0, 1.0]) + 0.02 * rng.standard_normal(2) for _ in range(10)]
         malicious = [np.array([-1.0, -1.0]) + 0.02 * rng.standard_normal(2) for _ in range(4)]
-        trusted, suspects, D, degen = coarse_cluster(range(14), np.array(benign + malicious))
+        trusted, suspects, degen = coarse_cluster(range(14), np.array(benign + malicious))
         assert trusted == frozenset(range(10))
         assert suspects == frozenset(range(10, 14))
         assert not degen
 
     def test_all_identical_degrades(self):
-        trusted, suspects, _, degen = coarse_cluster(range(6), np.ones((6, 2)))
+        trusted, suspects, degen = coarse_cluster(range(6), np.ones((6, 2)))
         assert trusted == frozenset(range(6)) and suspects == frozenset()
 
 

@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from fedsurrogate.harness import DatasetSpec, ExperimentConfig
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
@@ -46,7 +48,13 @@ def test_expect_exits_1_naming_the_configs_that_differ(tmp_path, monkeypatch, ca
     overall = listing.splitlines()[-1][:64]
     assert digest.main(["--expect", overall]) == 0
     assert digest.main(["--expect", overall.upper()]) == 0
+    assert digest.main(["--expect", overall[:8]]) == 0   # the prefix the docs cite
     assert capsys.readouterr().err == ""
+    # a prefix shorter than 8 digits, or not hex, is a usage error
+    for bad in (overall[:7], "g" + overall[1:8], overall + "0"):
+        with pytest.raises(SystemExit) as exit_:
+            digest.main(["--expect", bad])
+        assert exit_.value.code == 2 and "--expect takes 8 to 64 hex digits" in capsys.readouterr().err
 
     digest.RECORDED.write_text(listing)
     a, b = configs
@@ -55,6 +63,9 @@ def test_expect_exits_1_naming_the_configs_that_differ(tmp_path, monkeypatch, ca
     assert digest.main(["--expect", overall]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: the overall digest is not {overall}", "differs: b"]
+    assert digest.main(["--expect", overall[:8]]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: the overall digest is not {overall[:8]}", "differs: b"]
 
     # a digest with no recorded listing still fails, naming no config
     assert digest.main(["--expect", "0" * 64]) == 1

@@ -128,10 +128,10 @@ OUTCOME_SETS = ("critical_layers", "coarse_trusted", "demoted", "rescued",
 def test_round_is_the_same_from_the_matrix_and_from_loose_copies(seed, top_k, variant,
                                                                  monkeypatch):
     g, models, counts = _round(seed)
-    matrices = []   # Stage 1's distance matrix of each step, in order
-    real = defense.pairwise_distance_matrix
-    monkeypatch.setattr(defense, "pairwise_distance_matrix",
-                        lambda X, metric: matrices.append(real(X, metric)) or matrices[-1])
+    bounds = []   # Stage 1's distance bounds (L, U) of each step, in order
+    real = defense.euclidean_bounds
+    monkeypatch.setattr(defense, "euclidean_bounds",
+                        lambda X: bounds.append(real(X)) or bounds[-1])
     lca = LcaConfig(top_k=top_k)
     filt = FilterConfig(rescue_layers=("fc2", "fc3"))
     results = []
@@ -144,9 +144,9 @@ def test_round_is_the_same_from_the_matrix_and_from_loose_copies(seed, top_k, va
             out.append((new_global, outcome))
         results.append((out, mem))
     (matrix_rounds, matrix_mem), (loose_rounds, loose_mem) = results
-    assert len(matrices) == 4
-    for a_D, b_D in zip(matrices[:2], matrices[2:]):
-        assert np.array_equal(a_D, b_D)
+    assert len(bounds) == 4
+    for (a_L, a_U), (b_L, b_U) in zip(bounds[:2], bounds[2:]):
+        assert np.array_equal(a_L, b_L) and np.array_equal(a_U, b_U)
     for (a_global, a), (b_global, b) in zip(matrix_rounds, loose_rounds):
         assert np.array_equal(a_global.values, b_global.values)
         for name in OUTCOME_SETS:
@@ -161,9 +161,8 @@ def test_the_default_round_reads_the_matrix_in_place(monkeypatch):
     g, models, counts = _round(0)
     updates, M = _as_matrix(g, models, counts)
     seen = []
-    real = defense.pairwise_distance_matrix
-    monkeypatch.setattr(defense, "pairwise_distance_matrix",
-                        lambda X, metric: seen.append(X) or real(X, metric))
+    real = defense.euclidean_bounds
+    monkeypatch.setattr(defense, "euclidean_bounds", lambda X: seen.append(X) or real(X))
     fedsurrogate_round(updates, g, ScoreMemory(), LcaConfig(top_k=5),
                        FilterConfig(rescue_layers=("fc3",)), AggregationWeights(), "cosine", "full")
     assert seen and seen[0].base is M.base and seen[0].shape == M.shape
@@ -176,9 +175,10 @@ def test_the_default_round_reads_the_matrix_in_place(monkeypatch):
 def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
     """One server step of the default configuration at n = 64, over the
     harness's round matrix, allocates less than half the matrix's bytes
-    above its entry, beyond the Euclidean distance matrix's scratch
-    block of EUCLIDEAN_BLOCK_ROWS rows, which is one per thread and
-    half the matrix by itself at n = 64 (pinned to one CPU here). A
+    above its entry, beyond one scratch block of EUCLIDEAN_BLOCK_ROWS
+    rows (Stage 1's exact pairs' differences, Stage 3's gathered cosine
+    rows), which is one per thread and half the matrix by itself at
+    n = 64 (pinned to one CPU here). A
     step that stacked the deltas, or copied the critical-layer features
     when every layer is critical, would hold a whole extra matrix."""
     cfg = harness.ExperimentConfig(n_clients=64, rounds=1, warmup_epochs=1, seed=5)

@@ -327,8 +327,11 @@ ROOT_TRIM_MAD_MULTIPLIER = 3.0
 
 
 def _mad_keep(core: np.ndarray) -> np.ndarray:
-    """Mask of points inside the median + 3*MAD fence of core distances."""
+    """Mask of points inside the median + 3*MAD fence of core distances;
+    none when the median is inf, whose fence would be NaN."""
     med = float(np.median(core))
+    if med == np.inf:
+        return np.zeros(len(core), dtype=bool)
     mad = float(np.median(np.abs(core - med)))
     fence = med + ROOT_TRIM_MAD_MULTIPLIER * mad
     return core <= fence

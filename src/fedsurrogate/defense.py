@@ -25,7 +25,6 @@ from .params import (
     ParameterVector,
     aligned_rows,
     check_key,
-    cosine_distance_rows,
     euclidean_bounds,
     euclidean_pairs,
     pairwise_distance_matrix,
@@ -509,8 +508,7 @@ def fedsurrogate_round(
         order = sorted(flagged)
         rows = [index_of[cid] for cid in order]
         # the flagged clients' donor-distance rows over the critical-layer features
-        donor_rows = (cosine_distance_rows(features, rows) if donor_metric == "cosine"
-                      else pairwise_distance_matrix(features, "euclidean")[rows])
+        donor_rows = pairwise_distance_matrix(features, donor_metric, rows)
         for cid, row in zip(order, donor_rows):
             donor = select_donor(cid, trusted, row, index_of)
             donors[cid] = donor

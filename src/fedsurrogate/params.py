@@ -1,32 +1,31 @@
 """Flat parameter vectors with a named-layer schema, and the pairwise
 cosine and Euclidean distances of Stages 1 and 3, one dot per pair.
 
-All arithmetic is float64; vectors are frozen after construction so they
-can be shared across threads without copies. The (n, width) arrays the
-geometry reads and writes row by row (a round's deltas, feature copies,
-scratch blocks) come from ``aligned_rows``, whose rows each start on a
-64-byte boundary: numpy's vector loops run at about twice the speed
-over rows that do not split cache lines, and give the same bits. Both
-O(n^2 P) distance loops keep the rows they reuse in L2 cache and read
-the rest of the matrix once per block of them: the Euclidean loop a
-block of EUCLIDEAN_BLOCK_ROWS columns of the triangle, the cosine rows
-a batch of up to EUCLIDEAN_BLOCK_ROWS gathered rows.
+All arithmetic is float64; vectors are frozen after construction so
+they can be shared without copies. The (n, width) arrays the geometry
+reads and writes row by row (a round's deltas, feature copies, scratch
+blocks) come from ``aligned_rows``, whose rows each start on a 64-byte
+boundary: numpy's vector loops run at about twice the speed over rows
+that do not split cache lines, and give the same bits.
 
-Stage 1 runs neither loop. It screens with ``euclidean_bounds``, one
-Gram product that brackets every Euclidean distance the loop would
-compute, and computes exactly, with ``euclidean_pairs`` and the loop's
-bits, only the pairs its clustering depends on
+``pairwise_distance_matrix`` is the one exact geometry entry point: it
+returns any rows of the n x n matrix, on the calling thread, and each
+of its loops keeps EUCLIDEAN_BLOCK_ROWS rows in L2 cache while the rest
+of the matrix streams past. Stage 3 asks it for the flagged clients'
+rows alone. Stage 1 does not call it. It screens with
+``euclidean_bounds``, one Gram product that brackets every Euclidean
+distance, and computes exactly, with ``euclidean_pairs`` and the
+matrix's bits, only the pairs its clustering depends on
 (``clustering.screened_matrix``): about 700 of the 51 040 pairs at
 n = 320. The Gram form alone stays unfit for distances, since it
 cancels on close pairs; it only decides which pairs need them.
 """
 from __future__ import annotations
 
-import contextvars
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -172,18 +171,11 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
 
 
-# Rows held at once by each geometry buffer, and the fewest matrix rows
-# per geometry thread. A block of the Euclidean loop and a batch of
-# gathered cosine rows are this many rows, which stay in L2 (686 KB at
-# 2676 columns) while the loop streams the rest of the matrix past them.
+# Rows held at once by each geometry buffer: a block of rows of X in the
+# Euclidean rows, a batch of gathered rows in the cosine rows. They stay
+# in L2 (686 KB at 2676 columns) while the loop streams the rest of the
+# matrix past them.
 EUCLIDEAN_BLOCK_ROWS = 32
-
-# A second geometry thread pays only on wide rows and enough work. At
-# n = 80 and 320 over widths 68-2676 (one thread per CPU of 2), two
-# threads lost at 528 columns and below, and wherever a call made fewer
-# than about 1e7 products (output rows x matrix rows x width).
-THREAD_MIN_WIDTH = 576
-THREAD_MIN_PRODUCTS = 10_000_000
 
 
 def aligned_rows(n: int, width: int) -> np.ndarray:
@@ -206,81 +198,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _split_rows(
-    fill: Callable[[slice, np.ndarray], None], count: int, n: int, width: int
-) -> None:
-    """Run ``fill(slice(k, count, w), buf)`` for k < w: output rows k,
-    k + w, ... of ``count``, and a scratch buffer of
-    min(EUCLIDEAN_BLOCK_ROWS, count) aligned rows of ``width`` for that
-    part alone, which the part keeps in its core's L2 cache: the
-    differences of one Euclidean block, or one batch of gathered cosine
-    rows. w is the number of CPUs this process may use, at most one
-    per EUCLIDEAN_BLOCK_ROWS rows of the n-row matrix and one per output
-    row, and 1 for rows narrower than THREAD_MIN_WIDTH or fewer than
-    THREAD_MIN_PRODUCTS products (count x n x width). With w = 1
-    (always when n <= EUCLIDEAN_BLOCK_ROWS) ``fill`` runs on the calling
-    thread; otherwise each part runs on a thread of its own. The parts
-    overlap where numpy releases the GIL: in ``np.subtract`` and in a
-    matmul of more than 500 stacked products.
-
-    Each ``fill`` writes only its own output rows, with the same numpy
-    calls on the same operands whatever part it runs in, so the result
-    is bit for bit the same for every w. The buffers are allocated here,
-    and a part should allocate nothing large: memory a thread allocates
-    comes from a malloc arena of that thread's own, which keeps it after
-    the part ends. Each part runs in a copy of the caller's context,
-    which carries ``np.errstate``, and a part's exception is raised
-    here."""
-    w = max(1, min(_cpu_count(), -(-n // EUCLIDEAN_BLOCK_ROWS), count))
-    if width < THREAD_MIN_WIDTH or count * n * width < THREAD_MIN_PRODUCTS:
-        w = 1
-    block = min(EUCLIDEAN_BLOCK_ROWS, count)
-    rows = aligned_rows(w * block, width)
-    bufs = [rows[k * block:(k + 1) * block] for k in range(w)]
-    if w == 1:
-        fill(slice(0, count), bufs[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor  # not imported by small runs
-
-    with ThreadPoolExecutor(w) as pool:
-        parts = [pool.submit(contextvars.copy_context().run, fill, slice(k, count, w), bufs[k])
-                 for k in range(w)]
-    for part in parts:
-        part.result()
-
-
-def _euclidean_distances(X: np.ndarray) -> np.ndarray:
-    """|x_i - x_j| from explicit differences, at most
-    EUCLIDEAN_BLOCK_ROWS rows at a time. The expansion
-    |a|^2 + |b|^2 - 2 a.b would cancel for close pairs, which are the
-    ones the clustering's selection radius compares.
-
-    The outer loop runs over blocks [lo, hi) of EUCLIDEAN_BLOCK_ROWS
-    columns. Inside one, every row i < hi - 1 takes its differences with
-    X[max(lo, i + 1):hi] in its part's buffer, and the dot of each with
-    itself goes into D in place. The block and the buffer stay in L2
-    while each row X[i] is read once per block; a loop over rows outside
-    would read the whole matrix from memory once per row. Row i goes to
-    part i mod w of ``_split_rows``, which balances the parts' shares of
-    the triangle. One ``np.sqrt`` over D at the end takes the roots,
-    which are correctly rounded, so each is the root of its own pair."""
-    n, width = X.shape
-    D = np.zeros((n, n))
-
-    def fill(part: slice, buf: np.ndarray) -> None:
-        for lo in range(0, n, EUCLIDEAN_BLOCK_ROWS):
-            hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
-            for i in range(hi - 1)[part]:
-                j = lo if i < lo else i + 1
-                diff = np.subtract(X[j:hi], X[i], out=buf[: hi - j])
-                # row_dots(diff, diff), written in place
-                np.matmul(diff[:, None, :], diff[..., None], out=D[i, j:hi, None, None])
-
-    _split_rows(fill, n - 1, n, width)
-    np.sqrt(D, out=D)
-    return D + D.T
 
 
 # Rows per tile of the Gram product. BLAS packs its operands into a work
@@ -378,9 +295,10 @@ PAIR_BLOCK_ROWS = 8
 
 def euclidean_pairs(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """|X[j[k]] - X[i[k]]| for each k, with the bits of the entry (i[k],
-    j[k]) of ``pairwise_distance_matrix(X, "euclidean")``: the same
-    ``np.subtract`` into a row of an ``aligned_rows`` buffer, the same
-    BLAS dot of the difference with itself and the same root. The
+    j[k]) of ``pairwise_distance_matrix(X, "euclidean")`` (and of
+    (j[k], i[k]), its exact negation): the same ``np.subtract`` into a
+    row of an ``aligned_rows`` buffer, the same BLAS dot of the
+    difference with itself and the same root. The
     differences are taken PAIR_BLOCK_ROWS at a time, one row each, so no
     copy of the rows of X is made."""
     out = np.empty(len(i))
@@ -394,52 +312,70 @@ def euclidean_pairs(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def cosine_distance_rows(X: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """The rows ``rows`` of ``pairwise_distance_matrix(X, "cosine")``.
-    Entry (i, j) is the BLAS dot X[j] . X[i], which has the bits of
-    X[i] . X[j]: each product commutes exactly and the sum runs in the
-    same order. So the matrix is symmetric and identical rows tie
-    exactly, whichever rows are asked for, in whatever order. The rows
-    are split over threads as ``_split_rows`` describes; each gathers up
-    to EUCLIDEAN_BLOCK_ROWS of its rows of X at a time and takes their
-    dots with every row of X in one stacked matmul, because numpy
-    releases the GIL only in a matmul of more than 500 stacked products.
-    The matmul runs over the rows of X outside and the gathered rows
-    inside, so the gathered rows stay in L2 and X is read once per
-    batch, not once per gathered row."""
-    X = np.asarray(X, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.intp)
+def _cosine_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the cosine matrix, diagonal aside. Entry (i, j)
+    is the BLAS dot X[j] . X[i], which has the bits of X[i] . X[j]: each
+    product commutes exactly and the sum runs in the same order. Up to
+    EUCLIDEAN_BLOCK_ROWS of the rows are gathered at a time and their
+    dots with every row of X taken in one stacked matmul, which runs
+    over the rows of X outside and the gathered rows inside, so the
+    gathered rows stay in L2 and X is read once per batch."""
     G = np.empty((len(rows), len(X)))
-
-    def fill(part: slice, buf: np.ndarray) -> None:
-        mine, out = rows[part], G[part].T[:, :, None, None]
-        for lo in range(0, len(mine), EUCLIDEAN_BLOCK_ROWS):
-            hi = min(lo + EUCLIDEAN_BLOCK_ROWS, len(mine))
-            # row by row: np.take would copy a padded X whole first
-            picked = buf[: hi - lo]
-            for k, r in enumerate(mine[lo:hi]):
-                picked[k] = X[r]
-            # order="C" keeps the rows of X outside; numpy would follow
-            # out's strides and read X once per picked row instead
-            np.matmul(X[:, None, None, :], picked[None, :, :, None],
-                      out=out[:, lo:hi], order="C")
-
-    _split_rows(fill, len(rows), len(X), X.shape[1])
+    out = G.T[:, :, None, None]
+    buf = aligned_rows(min(EUCLIDEAN_BLOCK_ROWS, len(rows)), X.shape[1])
+    for lo in range(0, len(rows), EUCLIDEAN_BLOCK_ROWS):
+        hi = min(lo + EUCLIDEAN_BLOCK_ROWS, len(rows))
+        # row by row: np.take would copy a padded X whole first
+        picked = buf[: hi - lo]
+        for k, r in enumerate(rows[lo:hi]):
+            picked[k] = X[r]
+        # order="C" keeps the rows of X outside; numpy would follow
+        # out's strides and read X once per picked row instead
+        np.matmul(X[:, None, None, :], picked[None, :, :, None],
+                  out=out[:, lo:hi], order="C")
     norms = np.sqrt(row_dots(X, X))
     ok = norms >= EPS_ZERO
     scale = np.where(ok, norms, 1.0)
     D = 1.0 - np.clip(G / np.outer(scale[rows], scale), -1.0, 1.0)
     D[~ok[rows], :] = D[:, ~ok] = ZERO_NORM_DISTANCE
-    D[np.arange(len(rows)), rows] = 0.0
     return D
 
 
+def _euclidean_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the Euclidean matrix, |X[j] - X[r]| from
+    explicit differences. The expansion |a|^2 + |b|^2 - 2 a.b would
+    cancel for close pairs, which are the ones the clustering's
+    selection radius compares. X[j] - X[r] is the exact negation of
+    X[r] - X[j], so entry (r, j) has the bits of entry (j, r).
+
+    The outer loop runs over blocks [lo, hi) of EUCLIDEAN_BLOCK_ROWS
+    rows of X; inside one, each listed row r writes X[lo:hi] - X[r] into
+    one buffer and the dot of each difference with itself into D in
+    place, so the block and the buffer stay in L2 while the listed rows
+    stream past. One ``np.sqrt`` over D at the end takes the roots,
+    which are correctly rounded, so each is the root of its own pair."""
+    n = len(X)
+    D = np.empty((len(rows), n))
+    buf = aligned_rows(min(EUCLIDEAN_BLOCK_ROWS, n), X.shape[1])
+    for lo in range(0, n, EUCLIDEAN_BLOCK_ROWS):
+        hi = min(lo + EUCLIDEAN_BLOCK_ROWS, n)
+        diff = buf[: hi - lo]
+        for k, r in enumerate(rows):
+            np.subtract(X[lo:hi], X[r], out=diff)
+            # row_dots(diff, diff), written in place
+            np.matmul(diff[:, None, :], diff[..., None], out=D[k, lo:hi, None, None])
+    return np.sqrt(D, out=D)
+
+
 def pairwise_distance_matrix(
-    vectors: Sequence[np.ndarray] | np.ndarray, metric: str = "cosine"
+    vectors: Sequence[np.ndarray] | np.ndarray,
+    metric: str = "cosine",
+    rows: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of pairwise distances between the
-    rows of ``vectors`` (a sequence of equal-length vectors or an (n, P)
-    array, which is used without a copy).
+    """Rows ``rows`` (default: all, in order; any order, repeats allowed)
+    of the symmetric zero-diagonal matrix of pairwise distances between
+    the rows of ``vectors`` (a sequence of equal-length vectors or an
+    (n, P) array, which is used without a copy).
 
     ``metric`` is "cosine" (the default) or "euclidean". Euclidean
     distances see update magnitude as well as direction, which matters
@@ -448,18 +384,24 @@ def pairwise_distance_matrix(
     Each distance is computed from its own pair of rows alone, with one
     BLAS dot as ``cosine_distance`` and ``np.linalg.norm(a - b)`` form
     it, so identical rows tie exactly and nearest-donor choice keeps its
-    lower-id rule.
+    lower-id rule, and a row has the same bits whichever rows are asked
+    for. Everything runs on the calling thread, under its
+    ``np.errstate``.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("need a sequence of equal-length vectors")
     if len(X) < 2:
         raise ValueError("need at least two vectors")
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.intp)
     if metric == "cosine":
-        return cosine_distance_rows(X, range(len(X)))
-    if metric == "euclidean":
-        return _euclidean_distances(X)
-    raise ValueError(f"unknown metric {metric!r}")
+        D = _cosine_rows(X, rows)
+    elif metric == "euclidean":
+        D = _euclidean_rows(X, rows)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    D[np.arange(len(rows)), rows] = 0.0
+    return D
 
 
 def compute_update(

@@ -45,9 +45,10 @@ caller's stack.
 
 Processes. With w = 1 nothing is forked, and the same holds while
 another Python thread is alive, since a fork could copy a lock that
-thread holds; the distance threads of ``params._split_rows`` live only
-inside a defense call. The workers inherit the process's environment,
-so BLAS stays pinned to the same thread count in each of them.
+thread holds; no code of this package starts a thread, so only a
+caller's threads can stop the fork. The workers inherit the process's
+environment, so BLAS stays pinned to the same thread count in each of
+them.
 
 Hooks. A worker calls the training stages as ``harness``'s module
 attributes held them at the fork, so what a hook wrapped around one

@@ -227,6 +227,17 @@ def test_points_at_infinite_distance_match_reference(seed):
     assert hdbscan(D, 2, ms) == hdbscan_reference(D, 2, ms)
 
 
+@pytest.mark.parametrize("diagonal", [0.0, np.inf])
+def test_all_infinite_distances_make_every_point_noise_without_nan(diagonal):
+    """With every distance inf the median core distance is inf: the MAD
+    fence keeps no point and builds no ``inf - inf``, so nothing is
+    raised under ``np.errstate(all="raise")``."""
+    D = np.full((6, 6), np.inf)
+    np.fill_diagonal(D, diagonal)
+    with np.errstate(all="raise"):
+        assert hdbscan(D, 3, 2) == (-1,) * 6
+
+
 def test_single_linkage_leaves_a_read_only_matrix_unchanged():
     D, _ = tie_heavy_matrix(3)
     MR = mutual_reachability(D, 2)

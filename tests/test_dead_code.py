@@ -6,7 +6,8 @@ or ``roundbench/`` (tests do not count); every function reads each of
 its parameters; and every parameter with a default is passed by some
 call there, so a knob no caller turns is a constant. Beside it, a check
 that the HDBSCAN test oracle imports nothing from the package it
-checks."""
+checks, and one that no module imports a thread pool: the package
+starts no thread."""
 import ast
 from pathlib import Path
 
@@ -51,6 +52,19 @@ def _package_imports(tree: ast.AST) -> list[int]:
                 and any(a.name.split(".")[0] == "fedsurrogate" for a in node.names))
             or (isinstance(node, ast.ImportFrom)
                 and (node.level or (node.module or "").split(".")[0] == "fedsurrogate"))]
+
+
+_THREAD_MODULES = {"concurrent", "contextvars"}
+
+
+def _thread_imports(tree: ast.AST) -> list[int]:
+    """Line of each import of ``concurrent.futures`` or ``contextvars``,
+    at any depth of the code."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] in _THREAD_MODULES for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and not node.level
+                and (node.module or "").split(".")[0] in _THREAD_MODULES)]
 
 
 def _read(tree: ast.AST) -> set[str]:
@@ -203,6 +217,19 @@ def test_the_oracle_check_sees_every_form_of_package_import():
                      "from fedsurrogate import params\nfrom . import data\n"
                      "from fedsurrogate_extra import x\n")
     assert _package_imports(tree) == [2, 3, 4]
+
+
+def test_no_module_imports_a_thread_pool():
+    found = [f"{module}:{line}" for module, tree in _TREES.items()
+             for line in _thread_imports(tree)]
+    assert found == []
+
+
+def test_the_thread_check_sees_every_form_of_import():
+    tree = ast.parse("import contextvars\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                     "def f():\n    import concurrent.futures as cf\n"
+                     "from . import concurrent\nimport concurrently\n")
+    assert _thread_imports(tree) == [1, 2, 4]
 
 
 def test_the_check_sees_an_unused_import_and_a_dead_private_helper():

@@ -5,17 +5,12 @@ The oracles below are the per-pair and per-client loops that
 ``alignment_scores`` used to run. Inputs include zero-norm rows,
 identical rows and n = 2, and every comparison runs with numpy
 floating-point warnings raised as errors. Matrices of more than
-``EUCLIDEAN_BLOCK_ROWS`` rows are split over threads; those tests force
-the CPU count the split reads.
+``EUCLIDEAN_BLOCK_ROWS`` rows take more than one block of the row loops.
 """
-import concurrent.futures
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from fedsurrogate import params
+from fedsurrogate import defense, params
 from fedsurrogate.defense import (
     AggregationWeights,
     FilterConfig,
@@ -28,19 +23,16 @@ from fedsurrogate.defense import (
 )
 from fedsurrogate.params import (
     EPS_ZERO,
-    EUCLIDEAN_BLOCK_ROWS,
     ClientUpdate,
     LayerSchema,
     ParameterVector,
     compute_update,
     cosine_distance,
-    cosine_distance_rows,
     pairwise_distance_matrix,
 )
 
-from conftest import child_env
-
 TOL = 1e-12
+METRICS = ("cosine", "euclidean")
 SCHEMA = LayerSchema.from_lengths([("fc1", 7), ("fc2", 3), ("fc3", 12), ("out", 1)])
 
 
@@ -196,22 +188,32 @@ def test_round_donors_match_oracle(seed, metric):
             flagged, outcome.coarse_trusted | outcome.rescued, features, metric)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_cosine_rows_equal_full_matrix_rows(seed):
+def rows_equal_full_matrix_rows(seed, metric):
     X = random_rows(seed, 1 + seed % 50)
     rng = np.random.default_rng(2000 + seed)
     rows = sorted(rng.choice(len(X), size=int(rng.integers(1, len(X) + 1)), replace=False))
     with np.errstate(all="raise"):
-        got = cosine_distance_rows(X, rows)
-        want = pairwise_distance_matrix(X, "cosine")[rows]
+        got = pairwise_distance_matrix(X, metric, rows)
+        want = pairwise_distance_matrix(X, metric)[rows]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cosine_rows_equal_full_matrix_rows(seed):
+    rows_equal_full_matrix_rows(seed, "cosine")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_euclidean_rows_equal_full_matrix_rows(seed):
+    rows_equal_full_matrix_rows(seed, "euclidean")
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_round_donors_equal_full_matrix_donors_on_ties(seed):
     """Benign rows come in groups of identical copies and some are zero,
-    so most flagged clients have tied nearest donors; the donors from
-    the flagged rows alone must equal those from the full cosine matrix."""
+    so most flagged clients have tied nearest donors; under either
+    metric, the donors from the flagged rows alone must equal those from
+    the full matrix."""
     rng = np.random.default_rng(seed)
     base = rng.standard_normal(SCHEMA.total_length)
     groups = [base + 0.05 * rng.standard_normal(SCHEMA.total_length) for _ in range(4)]
@@ -220,137 +222,80 @@ def test_round_donors_equal_full_matrix_donors_on_ties(seed):
     order = rng.permutation(len(rows))
     updates = updates_of(np.array(rows)[order])
     g = ParameterVector(np.zeros(SCHEMA.total_length), SCHEMA)
+    for metric in METRICS:
+        with np.errstate(all="raise"):
+            _, outcome, _ = fedsurrogate_round(
+                updates, g, ScoreMemory(), LcaConfig(top_k=2),
+                FilterConfig(rescue_layers=("fc2", "fc3")), AggregationWeights(),
+                donor_metric=metric, variant="full",
+            )
+        assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
+        features = np.array([np.concatenate([u.delta.layer(n) for n in outcome.critical_layers])
+                             for u in updates])
+        D = pairwise_distance_matrix(features, metric)
+        index_of = {c: c for c in range(len(updates))}
+        trusted = outcome.coarse_trusted | outcome.rescued
+        want = {c: select_donor(c, trusted, D[c], index_of) for c in outcome.donors}
+        assert outcome.donors == want
+        pool = sorted(trusted)
+        assert any(np.sum(D[c, pool] == D[c, pool].min()) > 1 for c in outcome.donors)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_stage3_asks_once_for_the_flagged_rows_alone(metric, monkeypatch):
+    """At n = 40, Stage 3 takes its donor rows in one call for the sorted
+    flagged clients, not the full matrix, and under either metric the
+    donors are the scalar oracle's."""
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal(SCHEMA.total_length)
+    rows = [base + 0.05 * rng.standard_normal(SCHEMA.total_length) for _ in range(32)]
+    rows += [4.0 * base + rng.standard_normal(SCHEMA.total_length) for _ in range(8)]
+    updates = updates_of(np.array(rows)[rng.permutation(40)])
+    g = ParameterVector(np.zeros(SCHEMA.total_length), SCHEMA)
+    calls = []
+    real = defense.pairwise_distance_matrix
+
+    def recording(X, metric="cosine", rows=None):
+        calls.append((metric, None if rows is None else list(rows)))
+        return real(X, metric, rows)
+
+    monkeypatch.setattr(defense, "pairwise_distance_matrix", recording)
     with np.errstate(all="raise"):
         _, outcome, _ = fedsurrogate_round(
             updates, g, ScoreMemory(), LcaConfig(top_k=2),
             FilterConfig(rescue_layers=("fc2", "fc3")), AggregationWeights(),
-            donor_metric="cosine", variant="full",
+            donor_metric=metric, variant="full",
         )
-    assert outcome.donors and set(outcome.donors) == set(outcome.confirmed_malicious)
-    features = np.array([np.concatenate([u.delta.layer(n) for n in outcome.critical_layers]) for u in updates])
-    D = pairwise_distance_matrix(features, "cosine")
-    index_of = {c: c for c in range(len(updates))}
-    trusted = outcome.coarse_trusted | outcome.rescued
-    want = {c: select_donor(c, trusted, D[c], index_of) for c in outcome.donors}
-    assert outcome.donors == want
-    pool = sorted(trusted)
-    assert any(np.sum(D[c, pool] == D[c, pool].min()) > 1 for c in outcome.donors)
+    flagged = sorted(outcome.confirmed_malicious)
+    assert outcome.donors and sorted(outcome.donors) == flagged and len(flagged) < 40
+    assert calls == [(metric, flagged)]
+    features = [np.concatenate([u.delta.layer(n) for n in outcome.critical_layers]) for u in updates]
+    for c, donor in outcome.donors.items():
+        assert donor == donor_oracle(c, outcome.coarse_trusted | outcome.rescued, features, metric)
 
 
 # ---------------------------------------------------------------------------
-# The row split over threads
+# Rows of the matrix, a block at a time
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def any_size(monkeypatch):
-    """Lets matrices of any width and size split, so that small ones
-    test the split path."""
-    monkeypatch.setattr(params, "THREAD_MIN_WIDTH", 0)
-    monkeypatch.setattr(params, "THREAD_MIN_PRODUCTS", 0)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Records the max_workers of every thread pool the geometry makes."""
-    made = []
-    real = concurrent.futures.ThreadPoolExecutor
-
-    def recording(max_workers):
-        made.append(max_workers)
-        return real(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
-    return made
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("draw", [1, 2, 3])
 @pytest.mark.parametrize("n", [33, 64, 97])
-def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, cpus, monkeypatch, pools, any_size):
-    """At 37 columns and at 2676, the widest critical-layer subset of the
-    default model; the cosine rows asked for are unsorted, one twice."""
-    monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
+def test_split_geometry_equals_scalar_oracle_bit_for_bit(n, draw):
+    """The matrix, split into blocks of EUCLIDEAN_BLOCK_ROWS rows, over
+    three draws of rows at 37 columns and at 2676, the widest
+    critical-layer subset of the default model; the rows asked for are
+    unsorted, one twice."""
     rows = list(np.random.default_rng(n).choice(n, size=n // 2, replace=False))
     rows.append(rows[0])
     for width in (37, 2676):
-        X = random_rows(n * 10 + cpus, width, n=n)
-        with np.errstate(all="raise"):
-            euclidean = pairwise_distance_matrix(X, "euclidean")
-            cosine = pairwise_distance_matrix(X, "cosine")
-            cosine_rows = cosine_distance_rows(X, rows)
-            want_euclidean = distance_matrix_oracle(list(X), "euclidean")
-            want_cosine = distance_matrix_oracle(list(X), "cosine")
-        assert np.array_equal(euclidean, want_euclidean)
-        assert np.array_equal(cosine, want_cosine)
-        assert np.array_equal(cosine_rows, want_cosine[rows])
-    workers = min(cpus, -(-n // EUCLIDEAN_BLOCK_ROWS))
-    assert pools == ([] if workers == 1 else [workers] * 6)
-
-
-def test_split_equals_serial_under_thread_contention(monkeypatch, pools, any_size):
-    """More threads than cores, switching as often as the interpreter
-    allows: parts that shared a buffer or an output row would differ."""
-    X = random_rows(5, 37 * 8, n=200)
-    rows = list(range(0, 200, 3))
-    monkeypatch.setattr(params, "_cpu_count", lambda: 1)
-    serial = [pairwise_distance_matrix(X, "euclidean"), cosine_distance_rows(X, rows)]
-    monkeypatch.setattr(params, "_cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            assert np.array_equal(pairwise_distance_matrix(X, "euclidean"), serial[0])
-            assert np.array_equal(cosine_distance_rows(X, rows), serial[1])
-    finally:
-        sys.setswitchinterval(interval)
-    assert pools == [7, 7] * 3
-
-
-def test_small_matrices_make_no_pool(monkeypatch, pools, any_size):
-    monkeypatch.setattr(params, "_cpu_count", lambda: 4)
-    X = random_rows(0, 37, n=EUCLIDEAN_BLOCK_ROWS)
-    pairwise_distance_matrix(X, "euclidean")
-    pairwise_distance_matrix(X, "cosine")
-    cosine_distance_rows(X, range(EUCLIDEAN_BLOCK_ROWS))
-    assert pools == []
-    pairwise_distance_matrix(np.vstack([X, X[:1]]), "euclidean")
-    assert pools == [2]
-
-
-@pytest.mark.parametrize("width, split", [(68, False), (528, False), (2676, True)])
-def test_narrow_rows_make_no_pool(width, split, monkeypatch, pools):
-    """At n = 320, two threads lost to one at 68 and 528 columns; the
-    cosine rows are Stage 3's ~60 donor rows."""
-    monkeypatch.setattr(params, "_cpu_count", lambda: 2)
-    X = random_rows(width, width, n=320)
-    pairwise_distance_matrix(X, "euclidean")
-    cosine_distance_rows(X, range(0, 320, 5))
-    assert pools == ([2, 2] if split else [])
-
-
-def test_few_products_make_no_pool(monkeypatch, pools):
-    """Wide rows, but 8 cosine rows of 320 and an 80-row Euclidean
-    matrix at 596 columns: each under THREAD_MIN_PRODUCTS."""
-    monkeypatch.setattr(params, "_cpu_count", lambda: 2)
-    cosine_distance_rows(random_rows(1, 2676, n=320), range(8))
-    pairwise_distance_matrix(random_rows(2, 596, n=80), "euclidean")
-    assert pools == []
-
-
-def test_small_matrices_do_not_import_the_thread_pool():
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from fedsurrogate import cli, harness, params\n"
-        "params._cpu_count = lambda: 4\n"
-        "X = np.random.default_rng(0).standard_normal((32, 9))\n"
-        "params.pairwise_distance_matrix(X, 'euclidean')\n"
-        "params.cosine_distance_rows(X, range(32))\n"
-        "print('concurrent.futures' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+        X = random_rows(n * 10 + draw, width, n=n)
+        for metric in METRICS:
+            with np.errstate(all="raise"):
+                full = pairwise_distance_matrix(X, metric)
+                some = pairwise_distance_matrix(X, metric, rows)
+                want = distance_matrix_oracle(list(X), metric)
+            assert np.array_equal(full, want)
+            assert np.array_equal(some, want[rows])
 
 
 def _layouts(X):
@@ -366,34 +311,29 @@ def _layouts(X):
     return np.ascontiguousarray(X.copy()), off, aligned
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("width", [37, 2676])
 @pytest.mark.parametrize("n", [2, 33, 70])
-def test_geometry_bits_do_not_depend_on_row_alignment(n, width, cpus, monkeypatch, any_size):
-    monkeypatch.setattr(params, "_cpu_count", lambda: cpus)
-    X = random_rows(n + width, width, n=n)
+def test_geometry_bits_do_not_depend_on_row_alignment(n, width, draw):
+    X = random_rows(n + width + draw, width, n=n)
     rows = list(range(0, n, 3))
     plain, off, aligned = _layouts(X)
     assert off.ctypes.data % 64 == 8
     assert all(row.ctypes.data % 64 == 0 for row in aligned)
-    got = [(pairwise_distance_matrix(Y, "cosine").tobytes(),
-            pairwise_distance_matrix(Y, "euclidean").tobytes(),
-            cosine_distance_rows(Y, rows).tobytes()) for Y in (plain, off, aligned)]
+    got = [tuple(pairwise_distance_matrix(Y, metric, r).tobytes()
+                 for metric in METRICS for r in (None, rows))
+           for Y in (plain, off, aligned)]
     assert got[0] == got[1] == got[2]
 
 
 @pytest.mark.parametrize("which", ["euclidean", "cosine_rows"])
-def test_overflow_in_a_worker_raises(which, monkeypatch, pools, any_size):
-    monkeypatch.setattr(params, "_cpu_count", lambda: 2)
+def test_overflow_in_a_worker_raises(which):
+    """An overflow in either metric's rows raises the caller's
+    ``np.errstate(all="raise")`` error in the caller."""
     X = np.random.default_rng(1).uniform(0.5, 1.0, (40, 5)) * 1e200
     X[1::2] *= -1.0
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError) as raised:
-        if which == "euclidean":
-            pairwise_distance_matrix(X, "euclidean")
-        else:
-            cosine_distance_rows(X, range(40))
-    assert pools == [2]
-    assert any(entry.name == "fill" for entry in raised.traceback)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        pairwise_distance_matrix(X, which.removesuffix("_rows"), range(0, 40, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,9 @@ def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
     harness's round matrix, allocates less than half the matrix's bytes
     above its entry, beyond one scratch block of EUCLIDEAN_BLOCK_ROWS
     rows (Stage 1's exact pairs' differences, Stage 3's gathered cosine
-    rows), which is one per thread and half the matrix by itself at
-    n = 64 (pinned to one CPU here). A
-    step that stacked the deltas, or copied the critical-layer features
-    when every layer is critical, would hold a whole extra matrix."""
+    rows), which is half the matrix by itself at n = 64. A step that
+    stacked the deltas, or copied the critical-layer features when every
+    layer is critical, would hold a whole extra matrix."""
     cfg = harness.ExperimentConfig(n_clients=64, rounds=1, warmup_epochs=1, seed=5)
     args = []
     real = harness.fedsurrogate_round
@@ -195,7 +194,6 @@ def test_a_default_round_at_n64_holds_no_copy_of_the_round(monkeypatch):
     updates = a[0]
     n, P = len(updates), updates[0].delta.schema.total_length
     assert round_matrix(updates).base is updates[0].delta.values.base
-    monkeypatch.setattr(params, "_cpu_count", lambda: 1)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -233,14 +231,10 @@ def test_layer_divergence_at_n320_holds_no_pairwise_matrix():
     assert peak < n * n * 8
 
 
-def test_cosine_rows_of_a_padded_round_matrix_copy_no_matrix(monkeypatch):
-    """``cosine_distance_rows`` over a read-only 320 x 2676 matrix in
-    ``aligned_rows`` (the round's layout, as Stage 3 reads it for the
-    flagged clients) peaks below two scratch blocks of
-    EUCLIDEAN_BLOCK_ROWS rows above its entry: it gathers its rows one
-    at a time, where ``np.take`` would copy the padded matrix whole
-    first."""
-    monkeypatch.setattr(params, "_cpu_count", lambda: 1)
+def rows_peak(metric):
+    """Peak bytes above its entry of ``metric``'s rows 0, 5, ... of a
+    read-only 320 x 2676 matrix in ``aligned_rows``: the round's layout,
+    as Stage 3 reads it for the flagged clients."""
     n, P = 320, 2676
     X = aligned_rows(n, P)
     X[:] = np.random.default_rng(0).standard_normal((n, P))
@@ -248,9 +242,22 @@ def test_cosine_rows_of_a_padded_round_matrix_copy_no_matrix(monkeypatch):
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        D = params.cosine_distance_rows(X, range(0, n, 5))
+        D = params.pairwise_distance_matrix(X, metric, range(0, n, 5))
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
     assert D.shape == (64, n)
-    assert peak < 2 * params.EUCLIDEAN_BLOCK_ROWS * P * 8
+    return peak
+
+
+def test_cosine_rows_of_a_padded_round_matrix_copy_no_matrix():
+    """The cosine rows peak below two scratch blocks of
+    EUCLIDEAN_BLOCK_ROWS rows: they gather their rows one at a time,
+    where ``np.take`` would copy the padded matrix whole first."""
+    assert rows_peak("cosine") < 2 * params.EUCLIDEAN_BLOCK_ROWS * 2676 * 8
+
+
+def test_euclidean_rows_of_a_padded_round_matrix_copy_no_matrix():
+    """The Euclidean rows peak below the same bound: one block of
+    differences, and the rows asked for."""
+    assert rows_peak("euclidean") < 2 * params.EUCLIDEAN_BLOCK_ROWS * 2676 * 8

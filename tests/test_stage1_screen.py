@@ -133,7 +133,7 @@ def test_overflowing_dots_take_the_exact_path():
     L, U = euclidean_bounds(X)
     off = ~np.eye(40, dtype=bool)
     assert np.all(L[off] == 0.0) and np.all(U[off] == np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="raise", over="ignore"):
         assert coarse_cluster(list(range(40)), X) == exact_rule(list(range(40)), X)
 
 
